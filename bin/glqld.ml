@@ -9,6 +9,7 @@
 module Server = Glql_server.Server
 module Router = Glql_server.Router
 module Shard = Glql_server.Shard
+module Conn_loop = Glql_server.Conn_loop
 
 let () =
   let socket = ref "glqld.sock" in
@@ -61,7 +62,9 @@ let () =
       ("--max-cells", Arg.Set_int max_cells, "N reject queries materialising more table cells");
       ( "--max-conns",
         Arg.Set_int max_conns,
-        "N refuse connections beyond this many concurrent clients (default 256)" );
+        Printf.sprintf
+          "N refuse connections beyond this many concurrent clients (default 256, at most %d)"
+          Conn_loop.max_conns_ceiling );
       ( "--max-line-bytes",
         Arg.Set_int max_line_bytes,
         "N drop clients whose request line exceeds N bytes, 0 disables (default 1 MiB)" );
@@ -70,7 +73,7 @@ let () =
         "N drop clients buffering N bytes without a newline, 0 disables (default 8 MiB)" );
       ( "--router",
         Arg.Set router,
-        " sharded mode: spawn worker glqlds and route protocol v4 to them by graph name" );
+        " sharded mode: spawn worker glqlds and route protocol v6 to them by graph name" );
       ( "--workers",
         Arg.Set_int workers,
         "N shard count in --router mode (default 3); workers listen on SOCKET.shard<i>" );
@@ -92,6 +95,13 @@ let () =
   in
   let usage = "glqld: GEL query server.\nusage: glqld [options]" in
   Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
+  (* select(2) cannot watch descriptors at or above FD_SETSIZE: refuse a
+     cap the loop could not honour instead of crashing once it fills. *)
+  if !max_conns > Conn_loop.max_conns_ceiling then begin
+    Printf.eprintf "glqld: --max-conns %d exceeds the ceiling of %d connections\n%s" !max_conns
+      Conn_loop.max_conns_ceiling (Arg.usage_string spec usage);
+    exit 2
+  end;
   (* GLQL_TRACE=<file> dumps every span to a Chrome-trace JSON file. *)
   Glql_util.Trace.setup_from_env ();
   let config =

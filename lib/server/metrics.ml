@@ -96,16 +96,10 @@ let conn_rejected t = with_lock t (fun () -> t.conns_rejected <- t.conns_rejecte
 
 let conn_dropped t = with_lock t (fun () -> t.conns_dropped <- t.conns_dropped + 1)
 
-let conns_rejected t = with_lock t (fun () -> t.conns_rejected)
-
-let conns_dropped t = with_lock t (fun () -> t.conns_dropped)
-
 (* Batch coalescing lives with the governance counters: a per-process
    fact about this life of the daemon, outside the persisted [counters]
    record so snapshots keep their format. *)
 let add_coalesced t n = with_lock t (fun () -> t.batch_coalesced <- t.batch_coalesced + n)
-
-let batch_coalesced t = with_lock t (fun () -> t.batch_coalesced)
 
 type counters = {
   c_requests : int;

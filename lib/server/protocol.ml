@@ -170,6 +170,11 @@ let int_arg name s =
   | Some k -> Ok k
   | None -> Error (Printf.sprintf "%s: expected an integer, got %S" name s)
 
+let int_args name tokens =
+  List.fold_right
+    (fun t acc -> Result.bind (int_arg name t) (fun k -> Result.map (List.cons k) acc))
+    tokens (Ok [])
+
 let mutate_usage =
   "usage: MUTATE <graph> { ADD_EDGES <u> <v> ... | DEL_EDGES <u> <v> ... | \
    SET_LABEL <v> <float> ... } ..."
@@ -192,13 +197,6 @@ let parse_mutations tokens =
       | [] -> (List.rev acc, [])
     in
     go [] tokens
-  in
-  let rec ints name acc = function
-    | [] -> Ok (List.rev acc)
-    | t :: rest -> (
-        match int_arg name t with
-        | Ok k -> ints name (k :: acc) rest
-        | Error e -> Error e)
   in
   let rec floats name acc = function
     | [] -> Ok (List.rev acc)
@@ -231,7 +229,7 @@ let parse_mutations tokens =
                 else if List.length body mod 2 <> 0 then
                   Error (k ^ ": odd number of vertex tokens")
                 else
-                  match ints k [] body with
+                  match int_args k body with
                   | Error e -> Error e
                   | Ok vs -> sections (List.rev_append (pair_up mk [] vs) acc) remaining)
             | _ -> (
@@ -324,11 +322,9 @@ let split_trace args =
   | last :: rest when String.uppercase_ascii last = "TRACE" -> (List.rev rest, true)
   | _ -> (args, false)
 
-let parse_request line =
-  match tokenize line with
-  | Error e -> Error e
-  | Ok [] -> Error "empty request"
-  | Ok (cmd :: args) ->
+let parse_tokens = function
+  | [] -> Error "empty request"
+  | cmd :: args ->
       let args, traced = split_trace args in
       let with_trace = Result.map (fun req -> { req; traced }) in
       with_trace
@@ -370,14 +366,8 @@ let parse_request line =
             | gs -> Ok (Predict_batch (model, gs)))
         | "PREDICT", _ :: on :: _ when String.uppercase_ascii on = "ON" ->
             Error "usage: PREDICT <model> ON <graph>[,<graph>...]"
-        | "PREDICT", model :: graph :: vertices -> (
-            let rec ints acc = function
-              | [] -> Ok (List.rev acc)
-              | t :: rest -> Result.bind (int_arg "vertex" t) (fun v -> ints (v :: acc) rest)
-            in
-            match ints [] vertices with
-            | Ok vs -> Ok (Predict (model, graph, vs))
-            | Error e -> Error e)
+        | "PREDICT", model :: graph :: vertices ->
+            Result.map (fun vs -> Predict (model, graph, vs)) (int_args "vertex" vertices)
         | "PREDICT", _ ->
             Error "usage: PREDICT <model> <graph> [vertex ...] | PREDICT <model> ON <graph>[,...]"
         | "MODELS", [] -> Ok Models
@@ -391,6 +381,8 @@ let parse_request line =
         | "QUIT", [] -> Ok Quit
         | "SHUTDOWN", [] -> Ok Shutdown
         | c, _ -> Error (Printf.sprintf "unknown command %S" c))
+
+let parse_request line = Result.bind (tokenize line) parse_tokens
 
 let command_name = function
   | Hello -> "HELLO"

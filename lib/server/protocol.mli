@@ -158,6 +158,9 @@ val tokenize : string -> (string list, string) result
 (** Parse one request line; never raises. *)
 val parse_request : string -> (parsed, string) result
 
+(** {!parse_request} for a line already split by {!tokenize}. *)
+val parse_tokens : string list -> (parsed, string) result
+
 (** Parse the op tokens of a MUTATE batch (everything after the graph
     name): keyword-opened sections, repeatable, at least one op overall.
     Shared by the wire grammar and the clients' scriptable [--mutate]

@@ -1,9 +1,11 @@
 (* The router front of the sharded glqld topology.
 
-   Speaks the worker protocol *unchanged* to clients on one select loop
-   and multiplexes every request onto persistent nonblocking connections
-   to N shard workers (each a full glqld owning the graph names that
-   stable-hash to its shard, see {!Shard}). Graph-keyed commands (LOAD /
+   Speaks the worker protocol *unchanged* to clients and multiplexes
+   every request onto persistent nonblocking connections to N shard
+   workers (each a full glqld owning the graph names that stable-hash to
+   its shard, see {!Shard}), all on the one select loop of {!Conn_loop}.
+   Each client line is tokenized once and placed by one function with a
+   row per command ({!place}). Graph-keyed commands (LOAD /
    MUTATE / QUERY / EXPLAIN / WL / KWL / HOM / FEATURIZE / TRAIN /
    PREDICT) forward verbatim to the owning shard, so their replies are
    byte-identical to a single-process glqld holding the same registry —
@@ -90,10 +92,9 @@ let shard_down_line shard =
 (* GRAPHS: concatenate the per-shard lists and re-sort by (name,
    vertices, edges) — the exact order [Registry.list] yields in a
    single process, so the merged reply is byte-identical to one. *)
+let entries parts = List.concat_map (function P.List items -> items | other -> [ other ]) parts
+
 let merge_graphs parts =
-  let entries =
-    List.concat_map (function P.List items -> items | other -> [ other ]) parts
-  in
   let key = function
     | P.Obj _ as o ->
         let str k = match Json.member k o with Some (P.Str s) -> s | _ -> "" in
@@ -101,7 +102,7 @@ let merge_graphs parts =
         (str "name", int "vertices", int "edges")
     | _ -> ("", 0, 0)
   in
-  P.List (List.sort (fun a b -> compare (key a) (key b)) entries)
+  P.List (List.sort (fun a b -> compare (key a) (key b)) (entries parts))
 
 (* MODELS: per-shard registries are disjoint under router-driven TRAIN
    (a model lives on the shard of its first source graph), so the merge
@@ -110,14 +111,11 @@ let merge_graphs parts =
    against two workers behind the router's back) keep their first
    occurrence. *)
 let merge_models parts =
-  let entries =
-    List.concat_map (function P.List items -> items | other -> [ other ]) parts
-  in
   let name = function
     | P.Obj _ as o -> ( match Json.member "name" o with Some (P.Str s) -> s | _ -> "")
     | _ -> ""
   in
-  let sorted = List.stable_sort (fun a b -> compare (name a) (name b)) entries in
+  let sorted = List.stable_sort (fun a b -> compare (name a) (name b)) (entries parts) in
   let rec dedup = function
     | a :: b :: rest when name a = name b -> dedup (a :: rest)
     | a :: rest -> a :: dedup rest
@@ -150,29 +148,13 @@ let merge_stats ~router ~shards ~parts =
             match (k, v) with
             | "protocol_version", v -> Some (k, v)
             | "by_command", P.Obj _ ->
+                let tables = List.filter_map (Json.member "by_command") primaries in
                 let keys =
-                  List.concat_map
-                    (fun j ->
-                      match Json.member "by_command" j with
-                      | Some (P.Obj fs) -> List.map fst fs
-                      | _ -> [])
-                    primaries
+                  List.concat_map (function P.Obj fs -> List.map fst fs | _ -> []) tables
+                  |> List.sort_uniq compare
                 in
-                let keys = List.sort_uniq compare keys in
-                Some
-                  ( k,
-                    P.Obj
-                      (List.map
-                         (fun cmd ->
-                           ( cmd,
-                             P.Int
-                               (List.fold_left
-                                  (fun acc j ->
-                                    match Json.member "by_command" j with
-                                    | Some bc -> acc + int_field bc cmd
-                                    | None -> acc)
-                                  0 primaries) ))
-                         keys) )
+                let total cmd = List.fold_left (fun acc bc -> acc + int_field bc cmd) 0 tables in
+                Some (k, P.Obj (List.map (fun cmd -> (cmd, P.Int (total cmd))) keys))
             | _, P.Int _ ->
                 Some (k, P.Int (List.fold_left (fun acc j -> acc + int_field j k) 0 primaries))
             | _ -> None)
@@ -216,27 +198,17 @@ let merge_snapshots parts =
       ("plans", P.Int (sum "plans"));
     ]
 
-(* --- topology state ------------------------------------------------------ *)
 
-type up = {
-  u_fd : Unix.file_descr;
-  u_lines : Line_buf.t;  (* reply framing from the worker *)
-  u_out : Buffer.t;  (* request bytes the worker socket has not accepted *)
-}
+(* --- topology state ------------------------------------------------------ *)
 
 type mstate =
   | Down
   | Connecting of int64  (* give-up deadline *)
-  | Up of up
+  | Up of Conn_loop.link
 
-type client = {
-  c_fd : Unix.file_descr;
-  c_lines : Line_buf.t;
-  c_out : Buffer.t;
-  mutable c_closing : bool;  (* QUIT / EOF: close once slots drain *)
-  mutable c_dead : bool;  (* dropped: discard any late replies *)
-  c_slots : slot Queue.t;  (* replies owed, in request order *)
-}
+(* A client connection; its loop state is the FIFO of replies owed, in
+   request order. *)
+type client = slot Queue.t Conn_loop.conn
 
 and slot = {
   mutable s_reply : string option;
@@ -324,6 +296,21 @@ type t = {
   model_shards : (string, int) Hashtbl.t;
 }
 
+let new_member ?notify spec =
+  {
+    m_spec = spec;
+    m_pid = None;
+    m_state = Down;
+    m_respawns = 0;
+    m_pending = Queue.create ();
+    m_notify = notify;
+    m_probe_sent = None;
+    m_last_probe = 0L;
+    m_last_pong = 0L;
+    m_probes_sent = 0;
+    m_pongs = 0;
+  }
+
 let create config specs =
   if config.shards <= 0 then invalid_arg "Router.create: shards must be positive";
   let groups =
@@ -331,29 +318,12 @@ let create config specs =
   in
   List.iter
     (fun spec ->
-      let m =
-        {
-          m_spec = spec;
-          m_pid = None;
-          m_state = Down;
-          m_respawns = 0;
-          m_pending = Queue.create ();
-          m_notify = None;
-          m_probe_sent = None;
-          m_last_probe = 0L;
-          m_last_pong = 0L;
-          m_probes_sent = 0;
-          m_pongs = 0;
-        }
-      in
       let g = groups.(spec.Shard.sp_shard) in
-      (* Keep the primary at the head regardless of spec order. *)
-      match spec.Shard.sp_role with
-      | Shard.Primary -> g.g_members <- (m :: g.g_members)
-      | Shard.Replica _ -> g.g_members <- g.g_members @ [ m ])
+      g.g_members <- g.g_members @ [ new_member spec ])
     specs;
   Array.iter
     (fun g ->
+      (* Keep the primary at the head regardless of spec order. *)
       let primaries, replicas =
         List.partition (fun m -> m.m_spec.Shard.sp_role = Shard.Primary) g.g_members
       in
@@ -377,88 +347,53 @@ let log t fmt =
 let all_members t =
   Array.to_list t.groups |> List.concat_map (fun g -> g.g_members)
 
-let is_up m = match m.m_state with Up _ -> true | _ -> false
+let link_of m = match m.m_state with Up l -> Some l | _ -> None
+
+let is_up m = Option.is_some (link_of m)
 
 let role_label m = Shard.role_label m.m_spec.Shard.sp_role
 
+(* Launch the member's worker when the router manages it, and give it
+   [boot_timeout_s] to accept. *)
+let boot t m =
+  Option.iter
+    (fun argv ->
+      let pid = Shard.spawn argv in
+      m.m_pid <- Some pid;
+      log t "shard %d %s spawned as pid %d" m.m_spec.Shard.sp_shard (role_label m) pid)
+    m.m_spec.Shard.sp_argv;
+  m.m_state <-
+    Connecting (Int64.add (Clock.now_ns ()) (Int64.of_float (t.config.boot_timeout_s *. 1e9)))
+
 (* --- client side --------------------------------------------------------- *)
 
-(* Identical push-what-the-socket-accepts discipline as the server's
-   client loop: one slow reader can never wedge the select loop. *)
-let flush_buffer t fd buf ~on_fail =
-  let pending = Buffer.length buf in
-  if pending > 0 then begin
-    let s = Buffer.contents buf in
-    let written = ref 0 in
-    let failed = ref false in
-    let stop_ = ref false in
-    while (not !stop_) && !written < pending do
-      match Unix.write_substring fd s !written (pending - !written) with
-      | 0 -> stop_ := true
-      | n -> written := !written + n
-      | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) ->
-          stop_ := true
-      | exception Unix.Unix_error _ ->
-          failed := true;
-          stop_ := true
-    done;
-    if !written > 0 then Metrics.add_io t.metrics ~bytes_in:0 ~bytes_out:!written;
-    Buffer.clear buf;
-    if !failed then on_fail ()
-    else if !written < pending then Buffer.add_string buf (String.sub s !written (pending - !written))
-  end
-
-let max_client_outbuf = 8 * 1024 * 1024
-
-let flush_client t c =
-  flush_buffer t c.c_fd c.c_out ~on_fail:(fun () ->
-      c.c_dead <- true;
-      c.c_closing <- true)
-
-(* Move completed head slots into the outbuf; later slots wait their turn. *)
-let pump_client t c =
-  if not c.c_dead then begin
-    let moved = ref false in
-    let continue_ = ref true in
-    while !continue_ do
-      match Queue.peek_opt c.c_slots with
-      | Some { s_reply = Some line; _ } ->
-          ignore (Queue.pop c.c_slots);
-          Buffer.add_string c.c_out line;
-          Buffer.add_char c.c_out '\n';
-          moved := true
-      | _ -> continue_ := false
-    done;
-    if !moved then begin
-      flush_client t c;
-      if Buffer.length c.c_out > max_client_outbuf then begin
-        log t "dropping client with %d unsent reply bytes (not reading)" (Buffer.length c.c_out);
-        Metrics.conn_dropped t.metrics;
-        Buffer.clear c.c_out;
-        c.c_dead <- true;
-        c.c_closing <- true
-      end
-    end
-  end
+(* Move completed head slots into the client's out buffer; later slots
+   wait their turn. *)
+let pump_client (c : client) =
+  let rec go () =
+    match Queue.peek_opt (Conn_loop.data c) with
+    | Some { s_reply = Some line; _ } ->
+        ignore (Queue.pop (Conn_loop.data c));
+        Conn_loop.send c line;
+        go ()
+    | _ -> ()
+  in
+  go ()
 
 let fill_slot t slot line =
   if slot.s_reply = None then begin
     slot.s_reply <- Some line;
     Metrics.record t.metrics ~command:slot.s_cmd ~ok:(P.is_ok line)
       ~latency_ns:(Int64.sub (Clock.now_ns ()) slot.s_t0);
-    pump_client t slot.s_client
+    pump_client slot.s_client
   end
 
-let new_slot c cmd =
+let new_slot (c : client) cmd =
   let slot = { s_reply = None; s_client = c; s_cmd = cmd; s_t0 = Clock.now_ns () } in
-  Queue.push slot c.c_slots;
+  Queue.push slot (Conn_loop.data c);
   slot
 
 (* --- upstream side ------------------------------------------------------- *)
-
-(* Worker replies are single lines but can be large (query tables up to
-   the cell cap); the upstream framing caps are deliberately generous. *)
-let upstream_line_cap = 256 * 1024 * 1024
 
 let complete_part t agg i reply =
   let shard, role, _ = agg.a_parts.(i) in
@@ -475,19 +410,23 @@ let fail_dest t shard dest =
       mg.mg_deferred <- [];
       fill_slot t slot (shard_down_line shard)
   | Part (agg, i) -> complete_part t agg i None
-  | Mirror _ -> ()
-  | Discard -> ()
-  | Probe -> ()
+  | Mirror _ | Discard | Probe -> ()
   | Replica_save (slot, _) ->
       fill_slot t slot
         (P.err_line
            (P.error ~code:shard_down_code
               (Printf.sprintf "shard %d primary died during replica snapshot" shard)))
 
-let rec member_down t m reason =
-  (match m.m_state with
-  | Up u -> ( try Unix.close u.u_fd with Unix.Unix_error _ -> ())
-  | _ -> ());
+(* Answer the REPLICA caller waiting for this member's first accept. *)
+let notify t m line =
+  Option.iter
+    (fun slot ->
+      m.m_notify <- None;
+      fill_slot t slot line)
+    m.m_notify
+
+let member_down t m reason =
+  Option.iter Conn_loop.close_link (link_of m);
   m.m_state <- Down;
   let shard = m.m_spec.Shard.sp_shard in
   log t "shard %d %s down: %s (%d in-flight failed)" shard (role_label m) reason
@@ -496,91 +435,22 @@ let rec member_down t m reason =
   Queue.clear m.m_pending;
   m.m_probe_sent <- None;
   m.m_last_probe <- 0L;
-  (match m.m_notify with
-  | Some slot ->
-      m.m_notify <- None;
-      fill_slot t slot
-        (P.err_line (P.error ~code:shard_down_code (Printf.sprintf "shard %d member died booting" shard)))
-  | None -> ());
+  notify t m
+    (P.err_line
+       (P.error ~code:shard_down_code (Printf.sprintf "shard %d member died booting" shard)));
   if t.config.respawn && m.m_spec.Shard.sp_argv <> None && m.m_respawns < 5 then begin
     m.m_respawns <- m.m_respawns + 1;
-    let argv = Option.get m.m_spec.Shard.sp_argv in
-    let pid = Shard.spawn argv in
-    m.m_pid <- Some pid;
-    m.m_state <-
-      Connecting (Int64.add (Clock.now_ns ()) (Int64.of_float (t.config.boot_timeout_s *. 1e9)));
-    log t "shard %d %s respawned as pid %d (attempt %d)" shard (role_label m) pid m.m_respawns
+    log t "shard %d %s respawning (attempt %d)" shard (role_label m) m.m_respawns;
+    boot t m
   end
 
-and flush_member t m =
-  match m.m_state with
-  | Up u ->
-      flush_buffer t u.u_fd u.u_out ~on_fail:(fun () -> member_down t m "write failed")
-  | _ -> ()
-
+(* Queue a request line on a member; the loop flushes it this pass. *)
 let send_upstream t m line dest =
   match m.m_state with
-  | Up u ->
-      Buffer.add_string u.u_out line;
-      Buffer.add_char u.u_out '\n';
-      Queue.push dest m.m_pending;
-      flush_member t m
+  | Up l ->
+      Conn_loop.link_send l line;
+      Queue.push dest m.m_pending
   | _ -> fail_dest t m.m_spec.Shard.sp_shard dest
-
-(* One nonblocking connection attempt per tick while Connecting. *)
-let try_connect t m =
-  match m.m_state with
-  | Connecting deadline ->
-      let sock = m.m_spec.Shard.sp_socket in
-      let connected =
-        if Sys.file_exists sock then begin
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          match Unix.connect fd (Unix.ADDR_UNIX sock) with
-          | () ->
-              Unix.set_nonblock fd;
-              m.m_state <-
-                Up
-                  {
-                    u_fd = fd;
-                    u_lines =
-                      Line_buf.create ~max_line_bytes:upstream_line_cap
-                        ~max_buf_bytes:upstream_line_cap ();
-                    u_out = Buffer.create 256;
-                  };
-              log t "shard %d %s up on %s" m.m_spec.Shard.sp_shard (role_label m) sock;
-              (match m.m_notify with
-              | Some slot ->
-                  m.m_notify <- None;
-                  fill_slot t slot
-                    (P.ok
-                       (P.Obj
-                          [
-                            ("shard", P.Int m.m_spec.Shard.sp_shard);
-                            ("role", P.Str (role_label m));
-                            ("socket", P.Str sock);
-                          ]))
-              | None -> ());
-              true
-          | exception Unix.Unix_error _ ->
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              false
-        end
-        else false
-      in
-      if (not connected) && Int64.compare (Clock.now_ns ()) deadline > 0 then begin
-        m.m_state <- Down;
-        log t "shard %d %s failed to come up within %.1fs" m.m_spec.Shard.sp_shard (role_label m)
-          t.config.boot_timeout_s;
-        match m.m_notify with
-        | Some slot ->
-            m.m_notify <- None;
-            fill_slot t slot
-              (P.err_line
-                 (P.error ~code:shard_down_code
-                    (Printf.sprintf "shard %d replica failed to start" m.m_spec.Shard.sp_shard)))
-        | None -> ()
-      end
-  | _ -> ()
 
 (* Reap exited children so a killed worker can't linger as a zombie. *)
 let reap t =
@@ -594,8 +464,6 @@ let reap t =
           | exception Unix.Unix_error _ -> m.m_pid <- None)
       | None -> ())
     (all_members t)
-
-(* --- request routing ----------------------------------------------------- *)
 
 let quote_word w =
   if w <> "" && String.for_all (fun c -> c <> ' ' && c <> '\'' && c <> '"') w then w
@@ -648,23 +516,9 @@ let router_stats_json t =
         ("shards", P.Int t.config.shards);
       ]
 
-(* Fan one request line (or a per-target rewrite of it) to [targets];
-   down members contribute a [None] part immediately. *)
-let fanout t slot targets ~line_for ~finish =
-  match targets with
-  | [] -> fill_slot t slot (P.err_line (P.error ~code:shard_down_code "no shards are up"))
-  | _ ->
-      let parts =
-        Array.of_list
-          (List.map (fun m -> (m.m_spec.Shard.sp_shard, role_label m, None)) targets)
-      in
-      let agg = { a_slot = slot; a_parts = parts; a_remaining = List.length targets; a_finish = finish } in
-      List.iteri
-        (fun i m ->
-          match m.m_state with
-          | Up _ -> send_upstream t m (line_for m) (Part (agg, i))
-          | _ -> complete_part t agg i None)
-        targets
+(* --- fan-out merges ------------------------------------------------------ *)
+
+let no_shards_up = P.err_line (P.error ~code:shard_down_code "no shards are up")
 
 (* Parse the payload of an OK reply line; None for ERR / absent / unparsable. *)
 let payload_of = function
@@ -676,10 +530,12 @@ let payload_of = function
         | Error _ -> None
       else None
 
+(* VERSION (and GENERATORS, answered by one member): the shared reply
+   when every answering worker agrees. *)
 let finish_version parts =
   let oks = Array.to_list parts |> List.filter_map (fun (_, _, r) -> r) |> List.filter P.is_ok in
   match oks with
-  | [] -> P.err_line (P.error ~code:shard_down_code "no shards are up")
+  | [] -> no_shards_up
   | first :: rest ->
       if List.for_all (( = ) first) rest then first
       else
@@ -698,10 +554,10 @@ let finish_version parts =
                             ])) );
              ])
 
-let finish_graphs parts =
+(* GRAPHS / MODELS: merge whatever shards answered. *)
+let finish_merged merge parts =
   let payloads = Array.to_list parts |> List.filter_map (fun (_, _, r) -> payload_of r) in
-  if payloads = [] then P.err_line (P.error ~code:shard_down_code "no shards are up")
-  else P.ok (merge_graphs payloads)
+  if payloads = [] then no_shards_up else P.ok (merge payloads)
 
 let finish_stats t parts =
   let jparts =
@@ -709,19 +565,20 @@ let finish_stats t parts =
   in
   P.ok (merge_stats ~router:(router_stats_json t) ~shards:t.config.shards ~parts:jparts)
 
+(* Any failing part fails the whole reply, forwarding the first failure
+   line (already a classified ERR) verbatim. *)
+let first_failure parts =
+  Array.to_list parts
+  |> List.find_map (fun (shard, _, r) ->
+         match r with
+         | None -> Some (shard_down_line shard)
+         | Some line when not (P.is_ok line) -> Some line
+         | Some _ -> None)
+
 let finish_snapshots parts =
-  (* Any failing shard fails the whole operation: a partial snapshot set
-     silently missing a shard would restore into silent data loss. The
-     first failure line (already a classified ERR) forwards verbatim. *)
-  let first_err =
-    Array.to_list parts
-    |> List.find_map (fun (shard, _, r) ->
-           match r with
-           | None -> Some (shard_down_line shard)
-           | Some line when not (P.is_ok line) -> Some line
-           | Some _ -> None)
-  in
-  match first_err with
+  (* A partial snapshot set silently missing a shard would restore into
+     silent data loss. *)
+  match first_failure parts with
   | Some line -> line
   | None ->
       let payloads =
@@ -739,15 +596,7 @@ let finish_snapshots parts =
    and the envelope is rebuilt in the worker's exact field order, which
    round-trips byte-identically through {!Json}. *)
 let finish_predict_batch model ~graphs parts =
-  let first_err =
-    Array.to_list parts
-    |> List.find_map (fun (shard, _, r) ->
-           match r with
-           | None -> Some (shard_down_line shard)
-           | Some line when not (P.is_ok line) -> Some line
-           | Some _ -> None)
-  in
-  match first_err with
+  match first_failure parts with
   | Some line -> line
   | None ->
       let payloads = Array.to_list parts |> List.filter_map (fun (_, _, r) -> payload_of r) in
@@ -780,64 +629,13 @@ let finish_predict_batch model ~graphs parts =
 
 let primaries t = Array.to_list t.groups |> List.map (fun g -> List.hd g.g_members)
 
-let start_replica t slot shard =
-  if shard < 0 || shard >= t.config.shards then
-    fill_slot t slot
-      (P.err_line
-         (P.error ~code:"ERR_BAD_ARG" (Printf.sprintf "no such shard %d (0..%d)" shard (t.config.shards - 1))))
-  else
-    match t.config.make_replica with
-    | None ->
-        fill_slot t slot
-          (P.err_line (P.error ~code:"ERR_BAD_ARG" "replica spawning is not available here"))
-    | Some make ->
-        let g = t.groups.(shard) in
-        let primary = List.hd g.g_members in
-        if not (is_up primary) then fill_slot t slot (shard_down_line shard)
-        else begin
-          let index = List.length (List.tl g.g_members) + 1 in
-          let spec = make ~shard ~index in
-          match spec.Shard.sp_snapshot with
-          | None ->
-              fill_slot t slot
-                (P.err_line (P.error ~code:"ERR_INTERNAL" "replica spec has no snapshot path"))
-          | Some snap ->
-              (* Snapshot shipping: SAVE on the primary straight into the
-                 replica's boot snapshot path, then spawn the replica on
-                 it. The reply waits until the replica accepts. *)
-              send_upstream t primary
-                (Printf.sprintf "SAVE %s" (quote_word snap))
-                (Replica_save (slot, spec))
-        end
+(* --- replies from members ------------------------------------------------ *)
 
 let handle_replica_saved t slot spec line =
   if not (P.is_ok line) then fill_slot t slot line
   else begin
-    let m =
-      {
-        m_spec = spec;
-        m_pid = None;
-        m_state = Down;
-        m_respawns = 0;
-        m_pending = Queue.create ();
-        m_notify = Some slot;
-        m_probe_sent = None;
-        m_last_probe = 0L;
-        m_last_pong = 0L;
-        m_probes_sent = 0;
-        m_pongs = 0;
-      }
-    in
-    (match spec.Shard.sp_argv with
-    | Some argv ->
-        let pid = Shard.spawn argv in
-        m.m_pid <- Some pid;
-        m.m_state <-
-          Connecting (Int64.add (Clock.now_ns ()) (Int64.of_float (t.config.boot_timeout_s *. 1e9)));
-        log t "shard %d %s spawning as pid %d" spec.Shard.sp_shard (Shard.role_label spec.Shard.sp_role) pid
-    | None ->
-        m.m_state <-
-          Connecting (Int64.add (Clock.now_ns ()) (Int64.of_float (t.config.boot_timeout_s *. 1e9))));
+    let m = new_member ~notify:slot spec in
+    boot t m;
     let g = t.groups.(spec.Shard.sp_shard) in
     g.g_members <- g.g_members @ [ m ]
   end
@@ -868,268 +666,322 @@ let dispatch_reply t m dest line =
       m.m_pongs <- m.m_pongs + 1
   | Replica_save (slot, spec) -> handle_replica_saved t slot spec line
 
-(* Router-local commands (TOPOLOGY / ROUTE / REPLICA) are deliberately
-   *not* in {!Protocol}: the client protocol is v4 unchanged, and these
-   are operator commands of the topology layer only. *)
-type router_cmd = Topology | Route of string | Replica_of of int
+(* Workers answer in request order on one connection, so a reply line
+   pairs with the oldest pending destination. *)
+let member_line t m line =
+  match Queue.take_opt m.m_pending with
+  | Some dest -> dispatch_reply t m dest line
+  | None -> log t "shard %d sent an unsolicited line" m.m_spec.Shard.sp_shard
 
-let router_cmd_of_tokens = function
-  | [ cmd ] when String.uppercase_ascii cmd = "TOPOLOGY" -> Some Topology
-  | [ cmd; name ] when String.uppercase_ascii cmd = "ROUTE" -> Some (Route name)
-  | [ cmd; shard ] when String.uppercase_ascii cmd = "REPLICA" -> (
-      match int_of_string_opt shard with Some s -> Some (Replica_of s) | None -> None)
-  | _ -> None
+(* One nonblocking connection attempt per tick while Connecting. *)
+let try_connect t m =
+  match m.m_state with
+  | Connecting deadline ->
+      let sock = m.m_spec.Shard.sp_socket in
+      let connected =
+        if Sys.file_exists sock then begin
+          let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          match Unix.connect fd (Unix.ADDR_UNIX sock) with
+          | () ->
+              Unix.set_nonblock fd;
+              m.m_state <-
+                Up (Conn_loop.link fd ~on_line:(member_line t m) ~on_down:(member_down t m));
+              log t "shard %d %s up on %s" m.m_spec.Shard.sp_shard (role_label m) sock;
+              notify t m
+                (P.ok
+                   (P.Obj
+                      [
+                        ("shard", P.Int m.m_spec.Shard.sp_shard);
+                        ("role", P.Str (role_label m));
+                        ("socket", P.Str sock);
+                      ]));
+              true
+          | exception Unix.Unix_error _ ->
+              (try Unix.close fd with Unix.Unix_error _ -> ());
+              false
+        end
+        else false
+      in
+      if (not connected) && Int64.compare (Clock.now_ns ()) deadline > 0 then begin
+        m.m_state <- Down;
+        log t "shard %d %s failed to come up within %.1fs" m.m_spec.Shard.sp_shard (role_label m)
+          t.config.boot_timeout_s;
+        notify t m
+          (P.err_line
+             (P.error ~code:shard_down_code
+                (Printf.sprintf "shard %d replica failed to start" m.m_spec.Shard.sp_shard)))
+      end
+  | _ -> ()
 
-(* Route a write line to its owning group: the primary answers the
-   client, live replicas apply the same line so the group stays in sync,
-   and their replies are audited against the primary's verdict (see
-   {!mirror_group}) instead of discarded. *)
-let route_write t slot g line =
-  let primary = List.hd g.g_members in
-  let mg = { mg_primary_ok = None; mg_deferred = [] } in
-  List.iter (fun m -> if is_up m then send_upstream t m line (Mirror mg)) (List.tl g.g_members);
-  send_upstream t primary line (Write_primary (slot, mg))
-
-let handle_client_line t c line =
-  let cmd_label =
-    match String.index_opt line ' ' with
-    | Some i -> String.uppercase_ascii (String.sub line 0 i)
-    | None -> String.uppercase_ascii line
-  in
-  let slot = new_slot c cmd_label in
-  let local reply = fill_slot t slot reply in
-  match P.tokenize line with
-  | Error msg -> local (P.err_line (P.error ~code:"ERR_PARSE" msg))
-  | Ok tokens -> (
-      match router_cmd_of_tokens tokens with
-      | Some Topology -> local (P.ok (topology_json t))
-      | Some (Route name) ->
-          let shard = Shard.id_of_name ~shards:t.config.shards name in
-          local
-            (P.ok
-               (P.Obj
-                  [
-                    ("graph", P.Str name);
-                    ("shard", P.Int shard);
-                    ("members", P.List (List.map member_json t.groups.(shard).g_members));
-                  ]))
-      | Some (Replica_of shard) -> start_replica t slot shard
-      | None -> (
-          match P.parse_request line with
-          | Error msg -> local (P.err_line (P.error ~code:"ERR_PARSE" msg))
-          | Ok { P.req; _ } -> (
-              match req with
-              | P.Hello ->
-                  local
-                    (P.ok
-                       (P.Obj
-                          [
-                            ("server", P.Str "glqld");
-                            ("version", P.Str Server.version);
-                            ("protocol_version", P.Int P.protocol_version);
-                            ("role", P.Str "router");
-                            ("shards", P.Int t.config.shards);
-                          ]))
-              | P.Ping -> local (P.ok (P.Str "pong"))
-              | P.Quit ->
-                  local (P.ok (P.Str "bye"));
-                  c.c_closing <- true
-              | P.Shutdown ->
-                  List.iter
-                    (fun m -> if is_up m then send_upstream t m "SHUTDOWN" Discard)
-                    (all_members t);
-                  local (P.ok (P.Str "shutting down"));
-                  Atomic.set t.stop_flag true
-              | P.Version ->
-                  fanout t slot (primaries t) ~line_for:(fun _ -> "VERSION") ~finish:finish_version
-              | P.Graphs ->
-                  fanout t slot (primaries t) ~line_for:(fun _ -> "GRAPHS") ~finish:finish_graphs
-              | P.Stats ->
-                  fanout t slot (all_members t) ~line_for:(fun _ -> "STATS")
-                    ~finish:(fun parts -> finish_stats t parts)
-              | P.Generators -> (
-                  match List.find_opt is_up (all_members t) with
-                  | Some m -> send_upstream t m line (To_slot slot)
-                  | None ->
-                      local (P.err_line (P.error ~code:shard_down_code "no shards are up")))
-              | P.Load (name, _) ->
-                  (* Mirror writes to live replicas so they stay in sync;
-                     the client's reply is the primary's, verbatim. *)
-                  route_write t slot (group_for t name) line
-              | P.Mutate (name, _) ->
-                  (* MUTATE is a write like LOAD: the primary answers, live
-                     replicas apply the same batch so their generation and
-                     graph state advance in lockstep. *)
-                  route_write t slot (group_for t name) line
-              | P.Query (name, _) | P.Explain (name, _) | P.Wl (name, _) | P.Kwl (name, _)
-              | P.Hom (name, _)
-              | P.Featurize (name, _, _) -> (
-                  (* FEATURIZE is a read keyed by the graph, round-robin
-                     like QUERY. *)
-                  let g = group_for t name in
-                  match pick_read g with
-                  | Some m -> send_upstream t m line (To_slot slot)
-                  | None -> local (shard_down_line g.g_shard))
-              | P.Predict (model, name, _) -> (
-                  (* PREDICT needs the model AND the feature graph on one
-                     worker (a worker can only featurize graphs it owns,
-                     and the model lives on the shard of its first TRAIN
-                     source). When the router saw that TRAIN it knows the
-                     model's shard and rejects a cross-shard PREDICT up
-                     front with the actual constraint; otherwise it
-                     routes by graph and round-robins across the group,
-                     whose replicas mirrored the TRAIN. *)
-                  let g = group_for t name in
-                  match Hashtbl.find_opt t.model_shards model with
-                  | Some owner when owner <> g.g_shard ->
-                      local
-                        (P.err_line
-                           (P.error ~code:"ERR_BAD_ARG"
-                              (Printf.sprintf
-                                 "model %S lives on shard %d but graph %S hashes to shard %d: \
-                                  PREDICT through the router needs the graph co-hashed with the \
-                                  model's first TRAIN source"
-                                 model owner name g.g_shard)))
-                  | _ -> (
-                      match pick_read g with
-                      | Some m -> send_upstream t m line (To_slot slot)
-                      | None -> local (shard_down_line g.g_shard)))
-              | P.Predict_batch (model, graphs) -> (
-                  (* Batched PREDICT fans the read across the owning
-                     group's live members: the graph list splits into
-                     contiguous chunks, each member answers its sub-batch
-                     with the same wire form, and the router concatenates
-                     the ["batch"] arrays back into request order (see
-                     {!finish_predict_batch}). Every graph must co-hash
-                     with the model, like single PREDICT. *)
-                  let shards_hit =
-                    List.sort_uniq compare
-                      (List.map (fun g -> Shard.id_of_name ~shards:t.config.shards g) graphs)
-                  in
-                  match shards_hit with
-                  | [] -> local (P.err_line (P.error ~code:"ERR_BAD_ARG" "PREDICT ON: empty graph list"))
-                  | _ :: _ :: _ ->
-                      local
-                        (P.err_line
-                           (P.error ~code:"ERR_BAD_ARG"
-                              (Printf.sprintf
-                                 "batched PREDICT through the router needs every graph on one \
-                                  shard, but these hash to shards %s: co-hash the graph names \
-                                  with the model's first TRAIN source"
-                                 (String.concat ", " (List.map string_of_int shards_hit)))))
-                  | [ shard ] -> (
-                      let g = t.groups.(shard) in
-                      match Hashtbl.find_opt t.model_shards model with
-                      | Some owner when owner <> shard ->
-                          local
-                            (P.err_line
-                               (P.error ~code:"ERR_BAD_ARG"
-                                  (Printf.sprintf
-                                     "model %S lives on shard %d but the graphs hash to shard %d: \
-                                      PREDICT through the router needs the graph co-hashed with \
-                                      the model's first TRAIN source"
-                                     model owner shard)))
-                      | _ -> (
-                          match List.filter is_up g.g_members with
-                          | [] -> local (shard_down_line shard)
-                          | [ _ ] -> (
-                              (* One live member: forward verbatim (keeps
-                                 any TRACE suffix, trivially byte-equal). *)
-                              match pick_read g with
-                              | Some m -> send_upstream t m line (To_slot slot)
-                              | None -> local (shard_down_line shard))
-                          | ups ->
-                              let n = List.length graphs in
-                              let k = min (List.length ups) n in
-                              let chunk_size = (n + k - 1) / k in
-                              let rec chunks = function
-                                | [] -> []
-                                | xs ->
-                                    let rec take i = function
-                                      | x :: rest when i < chunk_size ->
-                                          let hd, tl = take (i + 1) rest in
-                                          (x :: hd, tl)
-                                      | rest -> ([], rest)
-                                    in
-                                    let hd, tl = take 0 xs in
-                                    hd :: chunks tl
-                              in
-                              let parts_graphs = chunks graphs in
-                              let targets =
-                                List.filteri (fun i _ -> i < List.length parts_graphs) ups
-                              in
-                              let assignments = List.combine targets parts_graphs in
-                              fanout t slot targets
-                                ~line_for:(fun m ->
-                                  Printf.sprintf "PREDICT %s ON %s" (quote_word model)
-                                    (quote_word (String.concat "," (List.assq m assignments))))
-                                ~finish:(finish_predict_batch model ~graphs:n))))
-              | P.Train spec -> (
-                  (* TRAIN is a write keyed by its *first* source graph:
-                     the primary answers and live replicas run the same
-                     fit so PREDICT can round-robin across the group. A
-                     multi-graph TRAIN needs all its graphs on one shard
-                     (co-hashing names); a graph living elsewhere fails
-                     naturally with ERR_UNKNOWN_GRAPH from the worker. *)
-                  match spec.P.t_graphs with
-                  | [] -> local (P.err_line (P.error ~code:"ERR_BAD_ARG" "TRAIN needs ON <graphs>"))
-                  | name :: _ ->
-                      let g = group_for t name in
-                      Hashtbl.replace t.model_shards spec.P.t_model g.g_shard;
-                      route_write t slot g line)
-              | P.Models ->
-                  fanout t slot (primaries t) ~line_for:(fun _ -> "MODELS")
-                    ~finish:(fun parts ->
-                      let payloads =
-                        Array.to_list parts |> List.filter_map (fun (_, _, r) -> payload_of r)
-                      in
-                      if payloads = [] then
-                        P.err_line (P.error ~code:shard_down_code "no shards are up")
-                      else P.ok (merge_models payloads))
-              | P.Save requested ->
-                  (* Each shard snapshots to its own file: <path>.shardI
-                     when a path was given, the worker's own --snapshot
-                     default otherwise. Primaries only — a replica
-                     writing the same per-shard file would race it. *)
-                  fanout t slot (primaries t)
-                    ~line_for:(fun m ->
-                      match requested with
-                      | Some path ->
-                          Printf.sprintf "SAVE %s"
-                            (quote_word (Printf.sprintf "%s.shard%d" path m.m_spec.Shard.sp_shard))
-                      | None -> "SAVE")
-                    ~finish:finish_snapshots
-              | P.Restore requested ->
-                  (* Replicas restore the same per-shard file so the whole
-                     shard group converges on the restored state. *)
-                  let line_for m =
-                    match requested with
-                    | Some path ->
-                        Printf.sprintf "RESTORE %s"
-                          (quote_word (Printf.sprintf "%s.shard%d" path m.m_spec.Shard.sp_shard))
-                    | None -> "RESTORE"
-                  in
-                  List.iter
-                    (fun m ->
-                      if m.m_spec.Shard.sp_role <> Shard.Primary && is_up m then
-                        send_upstream t m (line_for m) Discard)
-                    (all_members t);
-                  fanout t slot (primaries t) ~line_for ~finish:finish_snapshots)))
-
-(* --- select loop --------------------------------------------------------- *)
-
-let spawn_managed t =
+(* Health probes: PING each up member on a cadence and mark it down when
+   the oldest pong is overdue. *)
+let probe t =
+  let now = Clock.now_ns () in
+  let interval_ns = Int64.of_float (t.config.probe_interval_s *. 1e9) in
+  let timeout_ns = Int64.of_float (t.config.probe_timeout_s *. 1e9) in
   List.iter
     (fun m ->
-      (match m.m_spec.Shard.sp_argv with
-      | Some argv ->
-          let pid = Shard.spawn argv in
-          m.m_pid <- Some pid;
-          log t "shard %d %s spawned as pid %d" m.m_spec.Shard.sp_shard (role_label m) pid
-      | None -> ());
-      m.m_state <-
-        Connecting (Int64.add (Clock.now_ns ()) (Int64.of_float (t.config.boot_timeout_s *. 1e9))))
+      if is_up m then
+        match m.m_probe_sent with
+        | Some sent ->
+            (* In-order workers queue the pong behind real work, so an
+               unanswered probe only counts against the timeout while
+               nothing else is pending: slide the window whenever the
+               member is busy with actual requests. *)
+            let busy =
+              Queue.fold
+                (fun acc d -> acc || match d with Probe -> false | _ -> true)
+                false m.m_pending
+            in
+            if busy then m.m_probe_sent <- Some now
+            else if Int64.compare (Int64.sub now sent) timeout_ns > 0 then
+              member_down t m
+                (Printf.sprintf "health probe unanswered for %.1fs" t.config.probe_timeout_s)
+        | None ->
+            if Int64.compare (Int64.sub now m.m_last_probe) interval_ns >= 0 then begin
+              m.m_probe_sent <- Some now;
+              m.m_last_probe <- now;
+              m.m_probes_sent <- m.m_probes_sent + 1;
+              send_upstream t m "PING" Probe
+            end)
     (all_members t)
+
+(* --- request placement --------------------------------------------------- *)
+
+(* Router-local commands (TOPOLOGY / ROUTE / REPLICA) are deliberately
+   *not* in {!Protocol}: the client protocol is v6 unchanged, and these
+   are operator commands of the topology layer only. *)
+type command = Topology | Route of string | Replica_of of int | Request of P.request
+
+(* The one parse of a client line (it is tokenized once). *)
+let parse_command line =
+  Result.bind (P.tokenize line) (function
+    | [ cmd ] when String.uppercase_ascii cmd = "TOPOLOGY" -> Ok Topology
+    | [ cmd; name ] when String.uppercase_ascii cmd = "ROUTE" -> Ok (Route name)
+    | [ cmd; shard ] when String.uppercase_ascii cmd = "REPLICA" && int_of_string_opt shard <> None
+      ->
+        Ok (Replica_of (int_of_string shard))
+    | tokens -> Result.map (fun p -> Request p.P.req) (P.parse_tokens tokens))
+
+(* Metrics label: the command name, like the single daemon's; lines that
+   fail to parse all count as INVALID. *)
+let command_label = function
+  | Ok Topology -> "TOPOLOGY"
+  | Ok (Route _) -> "ROUTE"
+  | Ok (Replica_of _) -> "REPLICA"
+  | Ok (Request req) -> P.command_name req
+  | Error _ -> "INVALID"
+
+(* Where a request goes. *)
+type placement =
+  | Local of string  (* the router answers this reply line itself *)
+  | Read of group  (* a live member, round-robin; the reply forwards verbatim *)
+  | Write of group  (* the primary answers; live replicas mirror (see {!mirror_group}) *)
+  | Fanout of (member * string) list * ((int * string * string option) array -> string)
+      (* one line per member; the replies merge into one *)
+  | Ship_replica of member * Shard.spec * string
+      (* REPLICA: SAVE on the primary into the new replica's boot
+         snapshot, then boot it there; the reply waits for its accept *)
+
+let bad_arg msg = Local (P.err_line (P.error ~code:"ERR_BAD_ARG" msg))
+
+(* Each shard snapshots to its own file: <path>.shardI when a path was
+   given, the worker's own --snapshot default otherwise. *)
+let snapshot_line cmd requested m =
+  match requested with
+  | Some path ->
+      Printf.sprintf "%s %s" cmd
+        (quote_word (Printf.sprintf "%s.shard%d" path m.m_spec.Shard.sp_shard))
+  | None -> cmd
+
+let snapshot_fanout t cmd requested =
+  Fanout (List.map (fun m -> (m, snapshot_line cmd requested m)) (primaries t), finish_snapshots)
+
+let fanout_same targets line finish = Fanout (List.map (fun m -> (m, line)) targets, finish)
+
+(* PREDICT needs the model AND every feature graph on one worker (a
+   worker can only featurize graphs it owns, and the model lives on the
+   shard of its first TRAIN source). When the router saw that TRAIN it
+   knows the model's shard and rejects a cross-shard PREDICT up front
+   with the actual constraint; otherwise it routes by graph, whose
+   replicas mirrored the TRAIN. A batch over several live members splits
+   into contiguous chunks, one sub-batch per member, and the ["batch"]
+   arrays concatenate back into request order (see
+   {!finish_predict_batch}). *)
+let place_predict t model graphs ~batch =
+  match List.sort_uniq compare (List.map (Shard.id_of_name ~shards:t.config.shards) graphs) with
+  | [] -> bad_arg "PREDICT ON: empty graph list"
+  | _ :: _ :: _ as shards ->
+      bad_arg
+        (Printf.sprintf
+           "batched PREDICT through the router needs every graph on one shard, but these hash to \
+            shards %s: co-hash the graph names with the model's first TRAIN source"
+           (String.concat ", " (List.map string_of_int shards)))
+  | [ shard ] -> (
+      let g = t.groups.(shard) in
+      match (Hashtbl.find_opt t.model_shards model, List.filter is_up g.g_members) with
+      | Some owner, _ when owner <> shard ->
+          bad_arg
+            (Printf.sprintf
+               "model %S lives on shard %d but %s to shard %d: PREDICT through the router needs \
+                the graph co-hashed with the model's first TRAIN source"
+               model owner
+               (if batch then "the graphs hash"
+                else Printf.sprintf "graph %S hashes" (List.hd graphs))
+               shard)
+      | _, (_ :: _ :: _ as ups) when batch ->
+          let n = List.length graphs in
+          let size = (n + List.length ups - 1) / List.length ups in
+          let chunks =
+            List.mapi (fun j m -> (m, List.filteri (fun i _ -> i / size = j) graphs)) ups
+            |> List.filter (fun (_, gs) -> gs <> [])
+          in
+          Fanout
+            ( List.map
+                (fun (m, gs) ->
+                  let names = quote_word (String.concat "," gs) in
+                  (m, Printf.sprintf "PREDICT %s ON %s" (quote_word model) names))
+                chunks,
+              finish_predict_batch model ~graphs:n )
+      | _ -> (* one live member takes the line verbatim, TRACE included *) Read g)
+
+(* One row per command. Rows with side effects (QUIT, SHUTDOWN, TRAIN,
+   RESTORE) perform them here; [route] then carries the placement out. *)
+let place t (c : client) line = function
+  | Topology -> Local (P.ok (topology_json t))
+  | Route name ->
+      let shard = Shard.id_of_name ~shards:t.config.shards name in
+      Local
+        (P.ok
+           (P.Obj
+              [
+                ("graph", P.Str name);
+                ("shard", P.Int shard);
+                ("members", P.List (List.map member_json t.groups.(shard).g_members));
+              ]))
+  | Replica_of shard -> (
+      if shard < 0 || shard >= t.config.shards then
+        bad_arg (Printf.sprintf "no such shard %d (0..%d)" shard (t.config.shards - 1))
+      else
+        match t.config.make_replica with
+        | None -> bad_arg "replica spawning is not available here"
+        | Some make -> (
+            let g = t.groups.(shard) in
+            let primary = List.hd g.g_members in
+            if not (is_up primary) then Local (shard_down_line shard)
+            else
+              let spec = make ~shard ~index:(List.length g.g_members) in
+              match spec.Shard.sp_snapshot with
+              | None ->
+                  Local
+                    (P.err_line (P.error ~code:"ERR_INTERNAL" "replica spec has no snapshot path"))
+              | Some snap -> Ship_replica (primary, spec, snap)))
+  | Request P.Hello ->
+      Local
+        (P.ok
+           (P.Obj
+              [
+                ("server", P.Str "glqld");
+                ("version", P.Str Server.version);
+                ("protocol_version", P.Int P.protocol_version);
+                ("role", P.Str "router");
+                ("shards", P.Int t.config.shards);
+              ]))
+  | Request P.Ping -> Local (P.ok (P.Str "pong"))
+  | Request P.Quit ->
+      Conn_loop.quit c;
+      Local (P.ok (P.Str "bye"))
+  | Request P.Shutdown ->
+      List.iter (fun m -> if is_up m then send_upstream t m "SHUTDOWN" Discard) (all_members t);
+      Atomic.set t.stop_flag true;
+      Local (P.ok (P.Str "shutting down"))
+  | Request P.Version -> fanout_same (primaries t) "VERSION" finish_version
+  | Request P.Graphs -> fanout_same (primaries t) "GRAPHS" (finish_merged merge_graphs)
+  | Request P.Models -> fanout_same (primaries t) "MODELS" (finish_merged merge_models)
+  | Request P.Stats -> fanout_same (all_members t) "STATS" (finish_stats t)
+  | Request P.Generators -> (
+      (* Static and the same on every worker: any live member answers. *)
+      match List.find_opt is_up (all_members t) with
+      | Some m -> fanout_same [ m ] line finish_version
+      | None -> Local no_shards_up)
+  | Request (P.Load (name, _) | P.Mutate (name, _)) -> Write (group_for t name)
+  | Request (P.Train spec) -> (
+      (* TRAIN is a write keyed by its *first* source graph, mirrored so
+         PREDICT can round-robin across the group. A multi-graph TRAIN
+         needs all its graphs on one shard (co-hashing names); a graph
+         living elsewhere fails naturally with ERR_UNKNOWN_GRAPH from
+         the worker. *)
+      match spec.P.t_graphs with
+      | [] -> bad_arg "TRAIN needs ON <graphs>"
+      | name :: _ ->
+          let g = group_for t name in
+          Hashtbl.replace t.model_shards spec.P.t_model g.g_shard;
+          Write g)
+  | Request
+      ( P.Query (name, _)
+      | P.Explain (name, _)
+      | P.Wl (name, _)
+      | P.Kwl (name, _)
+      | P.Hom (name, _)
+      | P.Featurize (name, _, _) ) ->
+      Read (group_for t name)
+  | Request (P.Predict (model, name, _)) -> place_predict t model [ name ] ~batch:false
+  | Request (P.Predict_batch (model, graphs)) -> place_predict t model graphs ~batch:true
+  | Request (P.Save requested) ->
+      (* Primaries only — a replica writing the same per-shard file
+         would race it. *)
+      snapshot_fanout t "SAVE" requested
+  | Request (P.Restore requested) ->
+      (* Replicas restore the same per-shard file so the whole shard
+         group converges on the restored state. *)
+      List.iter
+        (fun m ->
+          if m.m_spec.Shard.sp_role <> Shard.Primary && is_up m then
+            send_upstream t m (snapshot_line "RESTORE" requested m) Discard)
+        (all_members t);
+      snapshot_fanout t "RESTORE" requested
+
+let route t slot line = function
+  | Local reply -> fill_slot t slot reply
+  | Read g -> (
+      match pick_read g with
+      | Some m -> send_upstream t m line (To_slot slot)
+      | None -> fill_slot t slot (shard_down_line g.g_shard))
+  | Write g ->
+      let primary = List.hd g.g_members in
+      let mg = { mg_primary_ok = None; mg_deferred = [] } in
+      List.iter (fun m -> if is_up m then send_upstream t m line (Mirror mg)) (List.tl g.g_members);
+      send_upstream t primary line (Write_primary (slot, mg))
+  | Fanout ([], _) -> fill_slot t slot no_shards_up
+  | Fanout (targets, finish) ->
+      (* Down members contribute a [None] part immediately. *)
+      let part (m, _) = (m.m_spec.Shard.sp_shard, role_label m, None) in
+      let agg =
+        {
+          a_slot = slot;
+          a_parts = Array.of_list (List.map part targets);
+          a_remaining = List.length targets;
+          a_finish = finish;
+        }
+      in
+      List.iteri
+        (fun i (m, l) ->
+          if is_up m then send_upstream t m l (Part (agg, i)) else complete_part t agg i None)
+        targets
+  | Ship_replica (primary, spec, snap) ->
+      send_upstream t primary
+        (Printf.sprintf "SAVE %s" (quote_word snap))
+        (Replica_save (slot, spec))
+
+let handle_client_line t c line =
+  let command = parse_command line in
+  let slot = new_slot c (command_label command) in
+  route t slot line
+    (match command with
+    | Ok cmd -> place t c line cmd
+    | Error msg -> Local (P.err_line (P.error ~code:"ERR_PARSE" msg)))
+
+(* --- serving ------------------------------------------------------------- *)
 
 (* Block until every member is up (or its boot deadline passed) before
    opening the front socket: a client that can connect should find the
@@ -1139,282 +991,71 @@ let wait_boot t =
     List.iter (fun m -> try_connect t m) (all_members t);
     if List.exists (fun m -> match m.m_state with Connecting _ -> true | _ -> false) (all_members t)
     then begin
-      ignore (Unix.select [] [] [] 0.05);
+      Unix.sleepf 0.05;
       loop ()
     end
   in
   loop ()
 
+(* SIGTERM every managed worker, give them a window to drain, then
+   SIGKILL (and wait out) whatever is left. *)
 let terminate_children t =
+  let signal_all s =
+    List.iter
+      (fun m -> Option.iter (fun pid -> try Unix.kill pid s with Unix.Unix_error _ -> ()) m.m_pid)
+      (all_members t)
+  in
+  signal_all Sys.sigterm;
+  let deadline = Clock.deadline_after 10.0 in
+  reap t;
+  while List.exists (fun m -> m.m_pid <> None) (all_members t) && not (Clock.expired deadline) do
+    Unix.sleepf 0.05;
+    reap t
+  done;
+  signal_all Sys.sigkill;
   List.iter
     (fun m ->
-      match m.m_pid with
-      | Some pid -> ( try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-      | None -> ())
-    (all_members t);
-  let deadline = Clock.deadline_after 10.0 in
-  let rec wait_all () =
-    reap t;
-    if List.exists (fun m -> m.m_pid <> None) (all_members t) then
-      if Clock.expired deadline then
-        List.iter
-          (fun m ->
-            match m.m_pid with
-            | Some pid ->
-                (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-                (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-                m.m_pid <- None
-            | None -> ())
-          (all_members t)
-      else begin
-        ignore (Unix.select [] [] [] 0.05);
-        wait_all ()
-      end
-  in
-  wait_all ()
+      Option.iter
+        (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+        m.m_pid;
+      m.m_pid <- None)
+    (all_members t)
 
 let serve t =
-  let prev_handlers =
-    List.map
-      (fun signal ->
-        (signal, Sys.signal signal (Sys.Signal_handle (fun _ -> Atomic.set t.stop_flag true))))
-      [ Sys.sigint; Sys.sigterm ]
-  in
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  spawn_managed t;
+  Conn_loop.with_signals t.stop_flag @@ fun () ->
+  List.iter (boot t) (all_members t);
   wait_boot t;
-  let listeners = ref [] in
-  (match t.config.socket_path with
-  | Some path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      listeners := fd :: !listeners;
-      log t "routing on unix socket %s" path
-  | None -> ());
-  (match t.config.tcp_port with
-  | Some port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      Unix.listen fd 64;
-      listeners := fd :: !listeners;
-      log t "routing on tcp port %d" port
-  | None -> ());
-  if !listeners = [] then invalid_arg "Router.serve: no socket_path and no tcp_port";
-  let conns : (Unix.file_descr, client) Hashtbl.t = Hashtbl.create 16 in
-  let chunk = Bytes.create 65536 in
-  let member_fd m = match m.m_state with Up u -> Some u.u_fd | _ -> None in
-  let member_by_fd fd =
-    List.find_opt (fun m -> member_fd m = Some fd) (all_members t)
-  in
-  let read_member m =
-    match m.m_state with
-    | Up u -> (
-        match Unix.read u.u_fd chunk 0 (Bytes.length chunk) with
-        | 0 -> member_down t m "EOF"
-        | nread -> (
-            Metrics.add_io t.metrics ~bytes_in:nread ~bytes_out:0;
-            match Line_buf.feed u.u_lines chunk ~off:0 ~len:nread with
-            | Ok lines ->
-                List.iter
-                  (fun line ->
-                    match Queue.take_opt m.m_pending with
-                    | Some dest -> dispatch_reply t m dest line
-                    | None -> log t "shard %d sent an unsolicited line" m.m_spec.Shard.sp_shard)
-                  lines
-            | Error _ -> member_down t m "reply overflowed the framing caps")
-        | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) -> ()
-        | exception Unix.Unix_error _ -> member_down t m "read failed")
-    | _ -> ()
-  in
-  let read_client c =
-    match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
-    | 0 -> c.c_closing <- true
-    | nread -> (
-        Metrics.add_io t.metrics ~bytes_in:nread ~bytes_out:0;
-        match Line_buf.feed c.c_lines chunk ~off:0 ~len:nread with
-        | Ok lines ->
-            List.iter (fun line -> if String.trim line <> "" then handle_client_line t c line) lines
-        | Error e ->
-            let err =
-              match e with
-              | Line_buf.Line_too_long limit ->
-                  P.error ~code:"ERR_LIMIT_LINE"
-                    (Printf.sprintf "request line exceeds the %d-byte limit" limit)
-              | Line_buf.Buffer_overflow limit ->
-                  P.error ~code:"ERR_LIMIT_INBUF"
-                    (Printf.sprintf "connection buffered more than %d bytes without a newline" limit)
-            in
-            Metrics.conn_dropped t.metrics;
-            Buffer.add_string c.c_out (P.err_line err ^ "\n");
-            flush_client t c;
-            Buffer.clear c.c_out;
-            c.c_dead <- true;
-            c.c_closing <- true)
-    | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) -> ()
-    | exception Unix.Unix_error _ ->
-        c.c_dead <- true;
-        c.c_closing <- true
-  in
-  let accept_on fd =
-    match Unix.accept fd with
-    | client_fd, _ ->
-        if Hashtbl.length conns >= t.config.max_connections then begin
-          Metrics.conn_rejected t.metrics;
-          let line =
-            P.err_line
-              (P.error ~code:"ERR_LIMIT_CONNS"
-                 (Printf.sprintf "router is at its %d-connection limit" t.config.max_connections))
-            ^ "\n"
-          in
-          (try ignore (Unix.write_substring client_fd line 0 (String.length line))
-           with Unix.Unix_error _ -> ());
-          try Unix.close client_fd with Unix.Unix_error _ -> ()
-        end
-        else begin
-          Unix.set_nonblock client_fd;
-          Hashtbl.replace conns client_fd
-            {
-              c_fd = client_fd;
-              c_lines =
-                Line_buf.create ~max_line_bytes:t.config.max_line_bytes
-                  ~max_buf_bytes:t.config.max_inbuf_bytes ();
-              c_out = Buffer.create 256;
-              c_closing = false;
-              c_dead = false;
-              c_slots = Queue.create ();
-            }
-        end
-    | exception Unix.Unix_error _ -> ()
-  in
-  let one_tick ~accepting =
-    let watched_read =
-      (if accepting then !listeners else [])
-      @ Hashtbl.fold (fun fd c acc -> if c.c_closing then acc else fd :: acc) conns []
-      @ List.filter_map member_fd (all_members t)
-    in
-    let watched_write =
-      Hashtbl.fold (fun fd c acc -> if Buffer.length c.c_out > 0 then fd :: acc else acc) conns []
-      @ List.filter_map
-          (fun m ->
-            match m.m_state with
-            | Up u when Buffer.length u.u_out > 0 -> Some u.u_fd
-            | _ -> None)
-          (all_members t)
-    in
-    let readable, writable =
-      match Unix.select watched_read watched_write [] 0.25 with
-      | readable, writable, _ -> (readable, writable)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
-    in
-    List.iter
-      (fun fd ->
-        match Hashtbl.find_opt conns fd with
-        | Some c -> flush_client t c
-        | None -> ( match member_by_fd fd with Some m -> flush_member t m | None -> ()))
-      writable;
-    List.iter
-      (fun fd ->
-        if accepting && List.mem fd !listeners then accept_on fd
-        else
-          match Hashtbl.find_opt conns fd with
-          | Some c -> read_client c
-          | None -> ( match member_by_fd fd with Some m -> read_member m | None -> ()))
-      readable;
+  let on_pass ~accepting =
     reap t;
     List.iter (fun m -> try_connect t m) (all_members t);
-    (* Health probes: PING each up member on a cadence and mark it down
-       when the oldest pong is overdue. Probing pauses during the drain
-       phase so probe destinations can't keep the drain loop spinning. *)
-    if accepting && t.config.probe_interval_s > 0.0 then begin
-      let now = Clock.now_ns () in
-      let interval_ns = Int64.of_float (t.config.probe_interval_s *. 1e9) in
-      let timeout_ns = Int64.of_float (t.config.probe_timeout_s *. 1e9) in
-      List.iter
-        (fun m ->
-          if is_up m then
-            match m.m_probe_sent with
-            | Some sent ->
-                (* In-order workers queue the pong behind real work, so
-                   an unanswered probe only counts against the timeout
-                   while nothing else is pending: slide the window
-                   whenever the member is busy with actual requests. *)
-                let busy =
-                  Queue.fold
-                    (fun acc d -> acc || match d with Probe -> false | _ -> true)
-                    false m.m_pending
-                in
-                if busy then m.m_probe_sent <- Some now
-                else if Int64.compare (Int64.sub now sent) timeout_ns > 0 then
-                  member_down t m
-                    (Printf.sprintf "health probe unanswered for %.1fs" t.config.probe_timeout_s)
-            | None ->
-                if Int64.compare (Int64.sub now m.m_last_probe) interval_ns >= 0 then begin
-                  m.m_probe_sent <- Some now;
-                  m.m_last_probe <- now;
-                  m.m_probes_sent <- m.m_probes_sent + 1;
-                  send_upstream t m "PING" Probe
-                end)
-        (all_members t)
-    end;
-    (* Reap clients whose replies are fully delivered. *)
-    let dead =
-      Hashtbl.fold
-        (fun fd c acc ->
-          let finished = c.c_dead || (c.c_closing && Queue.is_empty c.c_slots) in
-          if finished && Buffer.length c.c_out = 0 then (fd, c) :: acc else acc)
-        conns []
-    in
-    List.iter
-      (fun (fd, c) ->
-        (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
-        Hashtbl.remove conns fd)
-      dead
+    (* Probing pauses during the drain so probe destinations can't keep
+       it waiting. *)
+    if accepting && t.config.probe_interval_s > 0.0 then probe t
   in
-  while not (Atomic.get t.stop_flag) do
-    one_tick ~accepting:true
-  done;
-  (* Drain: stop accepting, give in-flight shard replies a bounded window
-     to land in their slots and flush, then fail the stragglers. *)
-  let drain_deadline = Clock.deadline_after t.config.drain_timeout_s in
-  let in_flight () = List.exists (fun m -> not (Queue.is_empty m.m_pending)) (all_members t) in
-  while in_flight () && not (Clock.expired drain_deadline) do
-    one_tick ~accepting:false
-  done;
-  List.iter
-    (fun m ->
-      Queue.iter (fun dest -> fail_dest t m.m_spec.Shard.sp_shard dest) m.m_pending;
-      Queue.clear m.m_pending)
-    (all_members t);
-  (* Last flush of client outbufs, bounded like the server's. *)
-  let flush_deadline = Clock.deadline_after 2.0 in
-  let rec flush_remaining () =
-    let waiting =
-      Hashtbl.fold
-        (fun fd c acc -> if Buffer.length c.c_out > 0 then (fd, c) :: acc else acc)
-        conns []
-    in
-    if waiting <> [] && not (Clock.expired flush_deadline) then begin
-      (match Unix.select [] (List.map fst waiting) [] 0.1 with
-      | _, writable, _ ->
-          List.iter (fun (fd, c) -> if List.mem fd writable then flush_client t c) waiting
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      flush_remaining ()
-    end
-  in
-  flush_remaining ();
-  Hashtbl.iter (fun _ c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) conns;
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !listeners;
-  (match t.config.socket_path with
-  | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-  | None -> ());
-  List.iter
-    (fun m -> match m.m_state with Up u -> (try Unix.close u.u_fd with Unix.Unix_error _ -> ()) | _ -> ())
-    (all_members t);
+  Conn_loop.run ~role:"router" ~log:(log t "%s") ~metrics:t.metrics ~stop:t.stop_flag
+    ~socket_path:t.config.socket_path ~tcp_port:t.config.tcp_port
+    ~max_connections:t.config.max_connections ~max_line_bytes:t.config.max_line_bytes
+    ~max_inbuf_bytes:t.config.max_inbuf_bytes
+    {
+      Conn_loop.init = Queue.create;
+      on_lines = Array.iter (fun (c, line) -> handle_client_line t c line);
+      owes = (fun c -> not (Queue.is_empty (Conn_loop.data c)));
+      links = (fun () -> List.filter_map link_of (all_members t));
+      on_pass;
+      (* The drain waits for in-flight shard replies, then fails the
+         stragglers. *)
+      busy = (fun () -> List.exists (fun m -> not (Queue.is_empty m.m_pending)) (all_members t));
+      drain_s = t.config.drain_timeout_s;
+      abandon =
+        (fun () ->
+          List.iter
+            (fun m ->
+              Queue.iter (fun dest -> fail_dest t m.m_spec.Shard.sp_shard dest) m.m_pending;
+              Queue.clear m.m_pending)
+            (all_members t));
+    };
+  List.iter (fun m -> Option.iter Conn_loop.close_link (link_of m)) (all_members t);
   terminate_children t;
-  List.iter (fun (signal, h) -> try Sys.set_signal signal h with Invalid_argument _ -> ()) prev_handlers;
   let served = Metrics.requests t.metrics in
   Printf.eprintf "glqld-router: routed %d requests (%d errors), shutting down cleanly\n%!" served
     (Metrics.errors t.metrics);

@@ -1,17 +1,16 @@
 (* The glqld request loop.
 
-   Concurrency model: the main domain owns all sockets and runs a select
-   loop; each iteration reads whatever complete request lines arrived on
-   any connection and dispatches the whole batch through
-   Pool.parallel_map_array, so requests from concurrent clients run on
-   the domain pool in parallel while replies are written back in arrival
-   order per connection. Client sockets are nonblocking with a
-   per-connection output buffer flushed via the select write set, so a
-   client that stops reading stalls only itself (and is dropped once its
-   backlog passes [max_conn_outbuf]). Handlers are pure apart from the mutex-guarded
-   caches/metrics/registry, and any Pool entry point a kernel reaches from
-   a worker domain degrades to its sequential fallback (the pool's nesting
-   rule), so batch dispatch is safe for every pool size.
+   Concurrency model: the main domain owns all sockets and runs the
+   select loop of {!Conn_loop}; each pass hands over whatever complete
+   request lines arrived on any connection, and the whole batch is parsed
+   once and dispatched through Pool.parallel_map_array, so requests from
+   concurrent clients run on the domain pool in parallel while replies
+   are queued back in arrival order per connection. A client that stops
+   reading stalls only itself (and is dropped past the out-buffer cap).
+   Handlers are pure apart from the mutex-guarded caches/metrics/registry,
+   and any Pool entry point a kernel reaches from a worker domain
+   degrades to its sequential fallback (the pool's nesting rule), so
+   batch dispatch is safe for every pool size.
 
    Timeouts are cooperative at two granularities: the deadline is
    checked between pipeline stages (after plan lookup, before
@@ -22,12 +21,13 @@
    [max_table_cells] guard rejects queries whose materialisation is
    hopeless upfront, and HOM carries an analogous cost estimate.
 
-   Resource governance: accepts beyond [max_connections] are refused
-   with ERR_LIMIT_CONNS; per-connection input framing (Line_buf) caps a
-   single request line ([max_line_bytes]) and the bytes a peer may
-   buffer without ever sending a newline ([max_inbuf_bytes]) — an
-   over-limit peer gets one structured error line, best-effort, and is
-   dropped. Caches evict by byte budgets on top of entry capacities.
+   Resource governance (enforced by {!Conn_loop}): accepts beyond
+   [max_connections] are refused with ERR_LIMIT_CONNS; per-connection
+   input framing (Line_buf) caps a single request line
+   ([max_line_bytes]) and the bytes a peer may buffer without ever
+   sending a newline ([max_inbuf_bytes]) — an over-limit peer gets one
+   structured error line, best-effort, and is dropped. Caches evict by
+   byte budgets on top of entry capacities.
 
    Shutdown: SIGINT/SIGTERM (or the SHUTDOWN command) set a flag; the
    loop stops accepting, drains request lines already buffered, writes
@@ -84,17 +84,6 @@ let default_config =
     verbose = false;
   }
 
-(* What the last successful RESTORE (or boot-time snapshot load) brought
-   in; surfaced under "restored" in STATS so a warm start is observable. *)
-type restored_info = {
-  r_file : string;
-  r_saved_at : float;
-  r_graphs : int;
-  r_colorings : int;
-  r_plans : int;
-  r_models : int;
-}
-
 type t = {
   config : config;
   registry : Registry.t;
@@ -102,7 +91,10 @@ type t = {
   models : Models.t;
   metrics : Metrics.t;
   stop_flag : bool Atomic.t;
-  restored : restored_info option Atomic.t;
+  (* What the last successful RESTORE (or boot-time snapshot load)
+     brought in; surfaced under "restored" in STATS so a warm start is
+     observable. *)
+  restored : (string * Persist.summary) option Atomic.t;
   retrains : int Atomic.t;  (* models refit by the RETRAIN-on-stale policy *)
 }
 
@@ -148,23 +140,12 @@ let save_snapshot t path =
        ~metrics:(Some t.metrics) ~producer path)
 
 let restore_snapshot t path =
-  match
-    Persist.restore ~registry:t.registry ~cache:t.cache ~models:(Some t.models)
-      ~metrics:(Some t.metrics) path
-  with
-  | Error _ as e -> e
-  | Ok (s : Persist.summary) ->
-      Atomic.set t.restored
-        (Some
-           {
-             r_file = path;
-             r_saved_at = s.Persist.s_saved_at;
-             r_graphs = s.Persist.s_graphs;
-             r_colorings = s.Persist.s_colorings;
-             r_plans = s.Persist.s_plans;
-             r_models = s.Persist.s_models;
-           });
-      Ok (path, s)
+  Result.map
+    (fun s ->
+      Atomic.set t.restored (Some (path, s));
+      (path, s))
+    (Persist.restore ~registry:t.registry ~cache:t.cache ~models:(Some t.models)
+       ~metrics:(Some t.metrics) path)
 
 (* --- request handlers --------------------------------------------------- *)
 
@@ -174,10 +155,13 @@ let vec_json v = P.List (Array.to_list (Array.map (fun x -> P.Float x) v))
 
 (* Handlers work in [(json, P.error) result]: every failure carries a
    stable ERR_* code. [fail] builds one; [tag] classifies the plain
-   string errors of Registry/Cache/Persist at the call site. *)
+   string errors of Registry/Cache/Persist at the call site; [coded]
+   wraps the (code, message) errors of Featurize/Models. *)
 let fail code fmt = Printf.ksprintf (fun message -> Error (P.error ~code message)) fmt
 
 let tag code = Result.map_error (fun message -> P.error ~code message)
+
+let coded r = Result.map_error (fun (code, message) -> P.error ~code message) r
 
 let check_deadline deadline stage =
   if Clock.expired deadline then
@@ -266,6 +250,11 @@ let query_result t deadline graph_name src =
          ("values", values);
        ])
 
+let count_classes colors =
+  let seen = Hashtbl.create 64 in
+  Array.iter (fun c -> Hashtbl.replace seen c ()) colors;
+  Hashtbl.length seen
+
 let wl_result t deadline graph_name rounds =
   let* g, gen = tag "ERR_UNKNOWN_GRAPH" (Registry.find_entry t.registry graph_name) in
   let* () = check_deadline deadline "colour refinement" in
@@ -276,11 +265,6 @@ let wl_result t deadline graph_name rounds =
     | None -> List.hd (Cr.stable_colors result)
     | Some r -> List.hd (Cr.colors_at_round result r)
   in
-  let distinct =
-    let seen = Hashtbl.create 64 in
-    Array.iter (fun c -> Hashtbl.replace seen c ()) colors;
-    Hashtbl.length seen
-  in
   Ok
     (P.Obj
        [
@@ -288,7 +272,7 @@ let wl_result t deadline graph_name rounds =
          ("n", P.Int (Graph.n_vertices g));
          ("rounds_to_stable", P.Int stable_rounds);
          ("rounds_used", P.Int (match rounds with None -> stable_rounds | Some r -> min (max 0 r) stable_rounds));
-         ("classes", P.Int distinct);
+         ("classes", P.Int (count_classes colors));
          ("signature", P.Str (Digest.to_hex (Digest.string (Cr.graph_signature colors))));
          ( "colors",
            if Array.length colors <= max_listed_cells then
@@ -297,26 +281,21 @@ let wl_result t deadline graph_name rounds =
          ("coloring_cache", hit_tag hit);
        ])
 
+(* The argument and budget checks of KWL and HOM are shared with the
+   batch prewarm, which must skip exactly what the handlers reject. *)
+let kwl_guard t g k =
+  let n = Graph.n_vertices g in
+  if k < 1 || k > 3 then fail "ERR_BAD_ARG" "KWL: k must be between 1 and 3"
+  else if Kwl.tuple_count n k > t.config.max_table_cells then
+    fail "ERR_LIMIT_CELLS" "KWL: %d^%d tuples exceed the cell limit" n k
+  else Ok ()
+
 let kwl_result t deadline graph_name k =
   let* g, gen = tag "ERR_UNKNOWN_GRAPH" (Registry.find_entry t.registry graph_name) in
-  let* () =
-    if k < 1 || k > 3 then fail "ERR_BAD_ARG" "KWL: k must be between 1 and 3" else Ok ()
-  in
-  let n = Graph.n_vertices g in
-  let tuples = Kwl.tuple_count n k in
-  let* () =
-    if tuples > t.config.max_table_cells then
-      fail "ERR_LIMIT_CELLS" "KWL: %d^%d tuples exceed the cell limit" n k
-    else Ok ()
-  in
+  let* () = kwl_guard t g k in
   let* () = check_deadline deadline "k-WL refinement" in
   let result, hit = Cache.kwl t.cache ~graph_name ~gen ~k ~deadline g in
   let colors = List.hd (Kwl.stable_colors result) in
-  let distinct =
-    let seen = Hashtbl.create 64 in
-    Array.iter (fun c -> Hashtbl.replace seen c ()) colors;
-    Hashtbl.length seen
-  in
   Ok
     (P.Obj
        [
@@ -324,7 +303,7 @@ let kwl_result t deadline graph_name k =
          ("k", P.Int k);
          ("variant", P.Str "folklore");
          ("rounds", P.Int (Kwl.rounds result));
-         ("tuple_classes", P.Int distinct);
+         ("tuple_classes", P.Int (count_classes colors));
          ("signature", P.Str (Digest.to_hex (Digest.string (Kwl.graph_signature colors))));
          ("coloring_cache", hit_tag hit);
        ])
@@ -337,10 +316,8 @@ let kwl_result t deadline graph_name k =
    the parallel handlers share it without locking. *)
 type shared = (string, int * int * float array) Hashtbl.t
 
-let empty_shared : shared = Hashtbl.create 0
-
-let hom_result t deadline ~(shared : shared) graph_name max_size =
-  let* g, gen = tag "ERR_UNKNOWN_GRAPH" (Registry.find_entry t.registry graph_name) in
+(* The tree patterns of a HOM profile, once the size and cost checks pass. *)
+let hom_patterns t g max_size =
   let* () =
     if max_size < 1 || max_size > 9 then
       fail "ERR_BAD_ARG" "HOM: max tree size must be between 1 and 9"
@@ -353,18 +330,19 @@ let hom_result t deadline ~(shared : shared) graph_name max_size =
      graphs make the full profile hopeless — reject upfront rather than
      letting the deadline burn 30 s first. Float arithmetic for the same
      overflow reason as the n^p guard above. *)
-  let n = Graph.n_vertices g in
-  let work = float_of_int (n + (2 * Graph.n_edges g)) in
+  let work = float_of_int (Graph.n_vertices g + (2 * Graph.n_edges g)) in
   let npat = List.length patterns in
   let cost = float_of_int npat *. float_of_int max_size *. work in
-  let* () =
-    if cost > float_of_int t.config.max_table_cells then
-      fail "ERR_LIMIT_COST"
-        "HOM would traverse ~%.0f DP cells (%d patterns x size %d x %.0f vertex+edge slots; \
-         limit %d)"
-        cost npat max_size work t.config.max_table_cells
-    else Ok ()
-  in
+  if cost > float_of_int t.config.max_table_cells then
+    fail "ERR_LIMIT_COST"
+      "HOM would traverse ~%.0f DP cells (%d patterns x size %d x %.0f vertex+edge slots; \
+       limit %d)"
+      cost npat max_size work t.config.max_table_cells
+  else Ok patterns
+
+let hom_result t deadline ~(shared : shared) graph_name max_size =
+  let* g, gen = tag "ERR_UNKNOWN_GRAPH" (Registry.find_entry t.registry graph_name) in
+  let* patterns = hom_patterns t g max_size in
   let* () = check_deadline deadline "hom-profile computation" in
   let profile =
     match Hashtbl.find_opt shared graph_name with
@@ -385,6 +363,12 @@ let hom_result t deadline ~(shared : shared) graph_name max_size =
 
 (* --- model serving (v6) --------------------------------------------------- *)
 
+let sources_json (m : Models.stored) =
+  P.List
+    (List.map
+       (fun (name, gen) -> P.Obj [ ("graph", P.Str name); ("generation", P.Int gen) ])
+       m.Models.sm_sources)
+
 let model_summary_json (m : Models.stored) =
   P.Obj
     [
@@ -394,11 +378,7 @@ let model_summary_json (m : Models.stored) =
       ("recipe", P.Str m.Models.sm_recipe);
       ("target", P.Str m.Models.sm_target);
       ("schema_hash", P.Str (Featurize.schema_hash m.Models.sm_schema));
-      ( "sources",
-        P.List
-          (List.map
-             (fun (name, gen) -> P.Obj [ ("graph", P.Str name); ("generation", P.Int gen) ])
-             m.Models.sm_sources) );
+      ("sources", sources_json m);
       ("rows", P.Int m.Models.sm_rows);
       ("epochs", P.Int m.Models.sm_epochs);
       ("train_metric", P.Float m.Models.sm_train_metric);
@@ -410,8 +390,7 @@ let featurize_result t deadline graph_name recipe mode =
   let* cols = tag "ERR_BAD_RECIPE" (Featurize.parse_recipe recipe) in
   let* () = check_deadline deadline "featurization" in
   let* b =
-    Result.map_error
-      (fun (code, message) -> P.error ~code message)
+    coded
       (Trace.with_span "featurize" (fun () ->
            Featurize.build ~cache:t.cache ~graph_name ~gen ~deadline
              ~max_cells:t.config.max_table_cells mode g cols))
@@ -450,8 +429,7 @@ let losses_json losses =
 let train_result t deadline (spec : P.train_spec) =
   let* () = check_deadline deadline "training" in
   let* trained =
-    Result.map_error
-      (fun (code, message) -> P.error ~code message)
+    coded
       (Trace.with_span "train" (fun () ->
            Models.train ~registry:t.registry ~cache:t.cache ~models:t.models ~deadline
              ~max_cells:t.config.max_table_cells spec))
@@ -465,11 +443,7 @@ let train_result t deadline (spec : P.train_spec) =
          ("model", P.Str m.Models.sm_name);
          ("task", P.Str (Models.task_name m.Models.sm_task));
          ("mode", P.Str (P.feat_mode_name m.Models.sm_mode));
-         ( "sources",
-           P.List
-             (List.map
-                (fun (name, gen) -> P.Obj [ ("graph", P.Str name); ("generation", P.Int gen) ])
-                m.Models.sm_sources) );
+         ("sources", sources_json m);
          ("rows", P.Int m.Models.sm_rows);
          ("cols", P.Int (List.hd m.Models.sm_sizes));
          ("schema_hash", P.Str (Featurize.schema_hash m.Models.sm_schema));
@@ -485,8 +459,7 @@ let train_result t deadline (spec : P.train_spec) =
 let predict_result t deadline model graph vertices =
   let* () = check_deadline deadline "prediction" in
   let* p =
-    Result.map_error
-      (fun (code, message) -> P.error ~code message)
+    coded
       (Trace.with_span "predict" (fun () ->
            Models.predict ~registry:t.registry ~cache:t.cache ~models:t.models ~deadline
              ~max_cells:t.config.max_table_cells ~model ~graph ~vertices ()))
@@ -548,19 +521,21 @@ let predict_batch_result t deadline model graphs =
 let models_result t =
   Ok (P.List (List.map model_summary_json (Models.list t.models)))
 
-let restored_json t =
-  match Atomic.get t.restored with
-  | None -> P.Null
-  | Some r ->
-      P.Obj
-        [
-          ("file", P.Str r.r_file);
-          ("saved_at", P.Float r.r_saved_at);
-          ("graphs", P.Int r.r_graphs);
-          ("colorings", P.Int r.r_colorings);
-          ("plans", P.Int r.r_plans);
-          ("models", P.Int r.r_models);
-        ]
+(* SAVE, RESTORE and STATS "restored" share one summary shape; [second]
+   is what the operation adds: bytes written, or when it was saved. *)
+let snapshot_json path (s : Persist.summary) second =
+  P.Obj
+    [
+      ("file", P.Str path);
+      second;
+      ("graphs", P.Int s.Persist.s_graphs);
+      ("colorings", P.Int s.Persist.s_colorings);
+      ("plans", P.Int s.Persist.s_plans);
+      ("models", P.Int s.Persist.s_models);
+    ]
+
+let restored_json (path, (s : Persist.summary)) =
+  snapshot_json path s ("saved_at", P.Float s.Persist.s_saved_at)
 
 let stats_json t =
   let cache_fields = List.map (fun (k, v) -> (k, P.Int v)) (Cache.stats t.cache) in
@@ -573,7 +548,7 @@ let stats_json t =
           ("models_registered", P.Int (Models.count t.models));
           ("retrains_stale", P.Int (Atomic.get t.retrains));
           ("pool_domains", P.Int (Pool.size ()));
-          ("restored", restored_json t);
+          ("restored", match Atomic.get t.restored with Some r -> restored_json r | None -> P.Null);
         ])
 
 (* --- EXPLAIN stage summary ----------------------------------------------- *)
@@ -636,25 +611,17 @@ let explain_json ~t0 spans reply =
       ("stages", stages);
     ]
 
+let version_fields =
+  [
+    ("server", P.Str "glqld");
+    ("version", P.Str version);
+    ("protocol_version", P.Int P.protocol_version);
+  ]
+
 let dispatch t deadline ~shared ~sink ~t0 req =
   match req with
-  | P.Hello ->
-      Ok
-        (P.Obj
-           [
-             ("server", P.Str "glqld");
-             ("version", P.Str version);
-             ("protocol_version", P.Int P.protocol_version);
-             ("pool_domains", P.Int (Pool.size ()));
-           ])
-  | P.Version ->
-      Ok
-        (P.Obj
-           [
-             ("server", P.Str "glqld");
-             ("version", P.Str version);
-             ("protocol_version", P.Int P.protocol_version);
-           ])
+  | P.Hello -> Ok (P.Obj (version_fields @ [ ("pool_domains", P.Int (Pool.size ())) ]))
+  | P.Version -> Ok (P.Obj version_fields)
   | P.Ping -> Ok (P.Str "pong")
   | P.Load (name, spec) ->
       let* g = tag "ERR_BAD_SPEC" (Registry.register t.registry ~name ~spec) in
@@ -739,34 +706,23 @@ let dispatch t deadline ~shared ~sink ~t0 req =
   | P.Save requested ->
       let* path = tag "ERR_SNAPSHOT" (snapshot_path t requested) in
       let* path, s = tag "ERR_SNAPSHOT" (save_snapshot t path) in
-      Ok
-        (P.Obj
-           [
-             ("file", P.Str path);
-             ("bytes", P.Int s.Persist.s_bytes);
-             ("graphs", P.Int s.Persist.s_graphs);
-             ("colorings", P.Int s.Persist.s_colorings);
-             ("plans", P.Int s.Persist.s_plans);
-             ("models", P.Int s.Persist.s_models);
-           ])
+      Ok (snapshot_json path s ("bytes", P.Int s.Persist.s_bytes))
   | P.Restore requested ->
       let* path = tag "ERR_SNAPSHOT" (snapshot_path t requested) in
-      let* path, s = tag "ERR_SNAPSHOT" (restore_snapshot t path) in
-      Ok
-        (P.Obj
-           [
-             ("file", P.Str path);
-             ("saved_at", P.Float s.Persist.s_saved_at);
-             ("graphs", P.Int s.Persist.s_graphs);
-             ("colorings", P.Int s.Persist.s_colorings);
-             ("plans", P.Int s.Persist.s_plans);
-             ("models", P.Int s.Persist.s_models);
-           ])
+      let* r = tag "ERR_SNAPSHOT" (restore_snapshot t path) in
+      Ok (restored_json r)
   | P.Stats -> Ok (stats_json t)
   | P.Quit -> Ok (P.Str "bye")
   | P.Shutdown ->
       stop t;
       Ok (P.Str "shutting down")
+
+(* A span sink feeding the cumulative per-stage histograms in STATS. *)
+let stage_sink ?keep_spans t =
+  Trace.make_sink ?keep_spans
+    ~on_span:(fun sp ->
+      Metrics.record_stage t.metrics ~stage:sp.Trace.name ~dur_ns:(Int64.to_int sp.Trace.dur_ns))
+    ()
 
 let attach_trace ~t0 sink j =
   let trace = Trace.spans_to_json ~origin_ns:t0 (Trace.spans sink) in
@@ -774,22 +730,16 @@ let attach_trace ~t0 sink j =
   | P.Obj fields -> P.Obj (fields @ [ ("trace", trace) ])
   | other -> P.Obj [ ("value", other); ("trace", trace) ]
 
-let handle_line_with t ~shared line =
+let handle_request t ~shared parsed =
   let t0 = Clock.now_ns () in
   let deadline = Clock.deadline_after t.config.request_timeout_s in
   (* Every request gets a span sink: it feeds the cumulative per-stage
      histograms in STATS, answers the TRACE option, and gives EXPLAIN
      its stage breakdown. Spans opened on pool workers land here too
      (Pool propagates the trace context). *)
-  let sink =
-    Trace.make_sink ~keep_spans:true
-      ~on_span:(fun sp ->
-        Metrics.record_stage t.metrics ~stage:sp.Trace.name
-          ~dur_ns:(Int64.to_int sp.Trace.dur_ns))
-      ()
-  in
+  let sink = stage_sink ~keep_spans:true t in
   let reply, command, ok =
-    match P.parse_request line with
+    match parsed with
     | Error e -> (P.err_line (P.error ~code:"ERR_PARSE" e), "INVALID", false)
     | Ok { P.req; traced } -> (
         let command = P.command_name req in
@@ -819,7 +769,6 @@ let handle_line_with t ~shared line =
   Metrics.record t.metrics ~command ~ok ~latency_ns:(Clock.elapsed_ns t0);
   reply
 
-let handle_line t line = handle_line_with t ~shared:empty_shared line
 
 (* --- server-side query batching ------------------------------------------ *)
 
@@ -839,7 +788,7 @@ let handle_line t line = handle_line_with t ~shared:empty_shared line
    produces its own structured error. Correctness does not depend on
    this phase at all: it only warms caches the handlers consult under
    their own (name, generation) keys. *)
-let plan_batch t lines =
+let plan_batch t parsed =
   let wl = Hashtbl.create 4 and kwl = Hashtbl.create 4 and hom = Hashtbl.create 4 in
   let bump tbl key =
     Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
@@ -861,8 +810,7 @@ let plan_batch t lines =
           names
   in
   Array.iter
-    (fun line ->
-      match P.parse_request line with
+    (function
       | Ok { P.req = P.Wl (name, _); _ } -> bump wl name
       | Ok { P.req = P.Kwl (name, k); _ } -> bump kwl (name, k)
       | Ok { P.req = P.Hom (name, size); _ } ->
@@ -879,7 +827,7 @@ let plan_batch t lines =
           | Some m -> bump_recipe names m.Models.sm_recipe
           | None -> ())
       | _ -> ())
-    lines;
+    parsed;
   let sorted_groups tbl keep =
     Hashtbl.fold (fun k v acc -> if keep v then (k, v) :: acc else acc) tbl []
     |> List.sort compare
@@ -897,18 +845,13 @@ let plan_batch t lines =
     let deadline = Clock.deadline_after t.config.request_timeout_s in
     (* Skippable by design: any failure (unknown graph, guard, deadline)
        leaves the corresponding requests to run — and report — solo. *)
-    let attempt f = try f () with _ -> () in
+    let with_graph name f =
+      try Result.iter (fun (g, gen) -> f g gen) (Registry.find_entry t.registry name) with _ -> ()
+    in
     (* The prewarm runs outside any per-request sink, so give it one:
        kernel spans (wl.refine, kwl.refine, hom.profile, csr.build) must
        land in the STATS stage histograms exactly like per-request work. *)
-    let sink =
-      Trace.make_sink
-        ~on_span:(fun sp ->
-          Metrics.record_stage t.metrics ~stage:sp.Trace.name
-            ~dur_ns:(Int64.to_int sp.Trace.dur_ns))
-        ()
-    in
-    Trace.with_sink sink (fun () ->
+    Trace.with_sink (stage_sink t) (fun () ->
         Trace.with_span
           ~args:
             [
@@ -921,55 +864,39 @@ let plan_batch t lines =
         @@ fun () ->
         List.iter
           (fun (name, _) ->
-            attempt (fun () ->
-                match Registry.find_entry t.registry name with
-                | Ok (g, gen) -> ignore (Cache.cr t.cache ~graph_name:name ~gen ~deadline g)
-                | Error _ -> ()))
+            with_graph name (fun g gen ->
+                ignore (Cache.cr t.cache ~graph_name:name ~gen ~deadline g)))
           wl_groups;
         List.iter
           (fun ((name, k), _) ->
-            attempt (fun () ->
-                if k >= 1 && k <= 3 then
-                  match Registry.find_entry t.registry name with
-                  | Ok (g, gen) ->
-                      if Kwl.tuple_count (Graph.n_vertices g) k <= t.config.max_table_cells
-                      then ignore (Cache.kwl t.cache ~graph_name:name ~gen ~k ~deadline g)
-                  | Error _ -> ()))
+            with_graph name (fun g gen ->
+                if Result.is_ok (kwl_guard t g k) then
+                  ignore (Cache.kwl t.cache ~graph_name:name ~gen ~k ~deadline g)))
           kwl_groups;
         List.iter
           (fun (name, (_, max_size)) ->
-            attempt (fun () ->
-                if max_size >= 1 && max_size <= 9 then
-                  match Registry.find_entry t.registry name with
-                  | Ok (g, gen) ->
-                      let patterns = Tree.all_free_trees_up_to max_size in
-                      let work = float_of_int (Graph.n_vertices g + (2 * Graph.n_edges g)) in
-                      let cost =
-                        float_of_int (List.length patterns) *. float_of_int max_size *. work
-                      in
-                      if cost <= float_of_int t.config.max_table_cells then
-                        Hashtbl.replace shared name
-                          (gen, max_size, Count.profile ~deadline patterns g)
-                  | Error _ -> ()))
+            with_graph name (fun g gen ->
+                Result.iter
+                  (fun patterns ->
+                    Hashtbl.replace shared name (gen, max_size, Count.profile ~deadline patterns g))
+                  (hom_patterns t g max_size)))
           hom_groups);
     Metrics.add_coalesced t.metrics coalesced
   end;
   shared
 
-(* One select-loop batch: coalesce shared passes, then fan the lines out
-   on the pool. Replies come back in input order. *)
-let handle_lines t lines =
-  let shared = plan_batch t lines in
-  Pool.parallel_map_array (fun line -> handle_line_with t ~shared line) lines
+(* One select-loop batch: parse each line once, coalesce shared passes,
+   then fan the requests out on the pool. Returns the parsed requests
+   (the loop reads QUIT back from them) and the replies, in input order. *)
+let run_batch t lines =
+  let parsed = Array.map P.parse_request lines in
+  let shared = plan_batch t parsed in
+  (parsed, Pool.parallel_map_array (handle_request t ~shared) parsed)
 
-(* --- socket loop --------------------------------------------------------- *)
+let handle_lines t lines = snd (run_batch t lines)
 
-type conn = {
-  fd : Unix.file_descr;
-  lines : Line_buf.t;  (* incremental framing + input limits *)
-  outbuf : Buffer.t;  (* reply bytes the socket has not yet accepted *)
-  mutable closing : bool;
-}
+(* A batch of one never coalesces, so this is the plain pipeline. *)
+let handle_line t line = (handle_lines t [| line |]).(0)
 
 let log t fmt =
   Printf.ksprintf (fun s -> if t.config.verbose then Printf.eprintf "glqld: %s\n%!" s) fmt
@@ -1017,77 +944,13 @@ let retrain_stale_pass t =
       end)
     (Models.list t.models)
 
-(* Client sockets are nonblocking: push as much of [outbuf] as the socket
-   accepts and keep the rest for the select write set, so one client that
-   stops reading (full send buffer) can never wedge the dispatch loop. *)
-let flush_out t conn =
-  let pending = Buffer.length conn.outbuf in
-  if pending > 0 then begin
-    (* Visible in the Chrome trace only (no request sink is installed on
-       the select loop), closing the request lifecycle: read -> dispatch
-       -> reply flush. *)
-    Trace.with_span ~args:[ ("bytes", string_of_int pending) ] "reply.flush" @@ fun () ->
-    let s = Buffer.contents conn.outbuf in
-    let written = ref 0 in
-    let failed = ref false in
-    let stop = ref false in
-    while (not !stop) && !written < pending do
-      match Unix.write_substring conn.fd s !written (pending - !written) with
-      | 0 -> stop := true
-      | n -> written := !written + n
-      | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _) ->
-          stop := true
-      | exception Unix.Unix_error _ ->
-          (* Peer is gone (EPIPE etc.): drop the unsent tail and reap. *)
-          failed := true;
-          stop := true
-    done;
-    if !written > 0 then Metrics.add_io t.metrics ~bytes_in:0 ~bytes_out:!written;
-    Buffer.clear conn.outbuf;
-    if !failed then conn.closing <- true
-    else if !written < pending then
-      Buffer.add_string conn.outbuf (String.sub s !written (pending - !written))
-  end
-
-(* A reader this far behind is not coming back; cap the memory it can pin. *)
-let max_conn_outbuf = 8 * 1024 * 1024
-
-let queue_reply t conn s =
-  Buffer.add_string conn.outbuf s;
-  flush_out t conn;
-  if Buffer.length conn.outbuf > max_conn_outbuf then begin
-    log t "dropping client with %d unsent reply bytes (not reading)" (Buffer.length conn.outbuf);
-    Metrics.conn_dropped t.metrics;
-    Buffer.clear conn.outbuf;
-    conn.closing <- true
-  end
-
-(* Drop a peer for a governance violation: one structured error line,
-   best-effort (whatever one flush pushes out), then close. The unsent
-   tail is discarded so a peer that never reads cannot pin the
-   connection in "closing" forever. *)
-let drop_conn t conn err =
-  Metrics.conn_dropped t.metrics;
-  log t "dropping client: %s (%s)" err.P.message err.P.code;
-  Buffer.add_string conn.outbuf (P.err_line err ^ "\n");
-  flush_out t conn;
-  Buffer.clear conn.outbuf;
-  conn.closing <- true
-
 let serve t =
-  (* Graceful shutdown on SIGINT/SIGTERM; ignore SIGPIPE so writes to a
-     vanished client surface as EPIPE (handled in flush_out). Handlers
-     are installed before the boot-time snapshot restore: a signal that
-     lands during a long restore must set the stop flag (the serve loop
-     is then skipped and the shutdown path still writes metrics and the
-     exit snapshot) rather than kill the process with no cleanup. *)
-  let prev_handlers =
-    List.map
-      (fun signal ->
-        (signal, Sys.signal signal (Sys.Signal_handle (fun _ -> Atomic.set t.stop_flag true))))
-      [ Sys.sigint; Sys.sigterm ]
-  in
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  (* Signal handlers go in before the boot-time snapshot restore: a
+     signal that lands during a long restore must set the stop flag (the
+     loop then exits at once and the shutdown path still writes metrics
+     and the exit snapshot) rather than kill the process with no
+     cleanup. *)
+  Conn_loop.with_signals t.stop_flag @@ fun () ->
   (* Warm start: restore the snapshot before opening any socket, so the
      first client already sees the previous life's graphs and caches. A
      bad or missing snapshot is logged and the server comes up cold —
@@ -1101,193 +964,43 @@ let serve t =
       | Error e -> Printf.eprintf "glqld: ignoring snapshot %s: %s\n%!" path e)
   | Some path -> log t "snapshot %s not present yet; starting cold" path
   | None -> ());
-  let listeners = ref [] in
-  (match t.config.socket_path with
-  | Some path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      listeners := fd :: !listeners;
-      log t "listening on unix socket %s" path
-  | None -> ());
-  (match t.config.tcp_port with
-  | Some port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      Unix.listen fd 64;
-      listeners := fd :: !listeners;
-      log t "listening on tcp port %d" port
-  | None -> ());
-  if !listeners = [] then invalid_arg "Server.serve: no socket_path and no tcp_port";
-  let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
-  let chunk = Bytes.create 65536 in
-  (* RETRAIN-on-stale runs from this loop (never from a request handler):
-     at most one scan per interval, after the batch of the iteration has
-     been dispatched and its replies queued, so a refit delays no reply
-     that was already in flight. *)
+  (* RETRAIN-on-stale runs from the loop's idle hook (never from a
+     request handler): at most one scan per interval, after the pass's
+     replies were flushed, so a refit delays no reply already computed. *)
   let last_retrain_scan = ref (Unix.gettimeofday ()) in
-  let maybe_retrain () =
-    if t.config.retrain_stale_s > 0.0 then begin
-      let now = Unix.gettimeofday () in
-      if now -. !last_retrain_scan >= t.config.retrain_stale_s then begin
-        last_retrain_scan := now;
-        retrain_stale_pass t
-      end
+  let on_pass ~accepting =
+    let now = Unix.gettimeofday () in
+    if accepting && t.config.retrain_stale_s > 0.0
+       && now -. !last_retrain_scan >= t.config.retrain_stale_s
+    then begin
+      last_retrain_scan := now;
+      retrain_stale_pass t
     end
   in
-  (* Run one batch of request lines through the coalescing planner and
-     the pool, and write replies back in arrival order. *)
-  let process_batch pending =
-    match pending with
-    | [] -> ()
-    | _ ->
-        let batch = Array.of_list pending in
-        let replies = handle_lines t (Array.map snd batch) in
-        Array.iteri
-          (fun i reply ->
-            let conn, line = batch.(i) in
-            queue_reply t conn (reply ^ "\n");
-            match P.parse_request line with
-            | Ok { P.req = P.Quit; _ } -> conn.closing <- true
-            | Ok { P.req = P.Shutdown; _ } -> Atomic.set t.stop_flag true
-            | _ -> ())
-          replies
+  (* One pass's request lines go through the coalescing planner and the
+     pool; replies are queued in arrival order. *)
+  let on_lines batch =
+    let parsed, replies = run_batch t (Array.map snd batch) in
+    Array.iteri
+      (fun i (c, _) ->
+        Conn_loop.send c replies.(i);
+        match parsed.(i) with Ok { P.req = P.Quit; _ } -> Conn_loop.quit c | _ -> ())
+      batch
   in
-  let drain_and_close () =
-    (* Complete lines are framed (and dispatched) at read time, so at
-       this point connections hold at most a partial trailing line —
-       nothing left to process, only replies to flush. *)
-    (* Give queued replies a bounded window to drain before closing. *)
-    let drain_deadline = Clock.deadline_after 2.0 in
-    let rec flush_remaining () =
-      let waiting =
-        Hashtbl.fold
-          (fun fd conn acc -> if Buffer.length conn.outbuf > 0 then (fd, conn) :: acc else acc)
-          conns []
-      in
-      if waiting <> [] && not (Clock.expired drain_deadline) then begin
-        (match Unix.select [] (List.map fst waiting) [] 0.1 with
-        | _, writable, _ ->
-            List.iter (fun (fd, conn) -> if List.mem fd writable then flush_out t conn) waiting
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        flush_remaining ()
-      end
-    in
-    flush_remaining ();
-    Hashtbl.iter (fun _ conn -> try Unix.close conn.fd with Unix.Unix_error _ -> ()) conns;
-    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !listeners;
-    (match t.config.socket_path with
-    | Some path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-    | None -> ())
-  in
-  while not (Atomic.get t.stop_flag) do
-    let watched_read =
-      !listeners @ Hashtbl.fold (fun fd conn acc -> if conn.closing then acc else fd :: acc) conns []
-    in
-    let watched_write =
-      Hashtbl.fold
-        (fun fd conn acc -> if Buffer.length conn.outbuf > 0 then fd :: acc else acc)
-        conns []
-    in
-    let readable, writable =
-      match Unix.select watched_read watched_write [] 0.25 with
-      | readable, writable, _ -> (readable, writable)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
-    in
-    List.iter
-      (fun fd ->
-        match Hashtbl.find_opt conns fd with Some conn -> flush_out t conn | None -> ())
-      writable;
-    let pending = ref [] in
-    List.iter
-      (fun fd ->
-        if List.mem fd !listeners then begin
-          match Unix.accept fd with
-          | client, _ ->
-              if Hashtbl.length conns >= t.config.max_connections then begin
-                (* Refuse above the cap: one structured error, then
-                   close. The fresh fd is still blocking, but a ~60-byte
-                   write into an empty send buffer cannot block. *)
-                Metrics.conn_rejected t.metrics;
-                log t "rejecting connection (%d live, cap %d)" (Hashtbl.length conns)
-                  t.config.max_connections;
-                let line =
-                  P.err_line
-                    (P.error ~code:"ERR_LIMIT_CONNS"
-                       (Printf.sprintf "server is at its %d-connection limit"
-                          t.config.max_connections))
-                  ^ "\n"
-                in
-                (try ignore (Unix.write_substring client line 0 (String.length line))
-                 with Unix.Unix_error _ -> ());
-                try Unix.close client with Unix.Unix_error _ -> ()
-              end
-              else begin
-                Unix.set_nonblock client;
-                Hashtbl.replace conns client
-                  {
-                    fd = client;
-                    lines =
-                      Line_buf.create ~max_line_bytes:t.config.max_line_bytes
-                        ~max_buf_bytes:t.config.max_inbuf_bytes ();
-                    outbuf = Buffer.create 256;
-                    closing = false;
-                  };
-                log t "client connected (%d live)" (Hashtbl.length conns)
-              end
-          | exception Unix.Unix_error _ -> ()
-        end
-        else
-          match Hashtbl.find_opt conns fd with
-          | None -> ()
-          | Some conn -> (
-              match Unix.read fd chunk 0 (Bytes.length chunk) with
-              | 0 -> conn.closing <- true
-              | nread -> (
-                  Metrics.add_io t.metrics ~bytes_in:nread ~bytes_out:0;
-                  match Line_buf.feed conn.lines chunk ~off:0 ~len:nread with
-                  | Ok lines ->
-                      List.iter
-                        (fun line ->
-                          if String.trim line <> "" then pending := (conn, line) :: !pending)
-                        lines
-                  | Error e ->
-                      let err =
-                        match e with
-                        | Line_buf.Line_too_long limit ->
-                            P.error ~code:"ERR_LIMIT_LINE"
-                              (Printf.sprintf "request line exceeds the %d-byte limit" limit)
-                        | Line_buf.Buffer_overflow limit ->
-                            P.error ~code:"ERR_LIMIT_INBUF"
-                              (Printf.sprintf
-                                 "connection buffered more than %d bytes without a newline"
-                                 limit)
-                      in
-                      drop_conn t conn err)
-              | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
-                -> ()
-              | exception Unix.Unix_error _ -> conn.closing <- true))
-      readable;
-    process_batch (List.rev !pending);
-    maybe_retrain ();
-    (* Close connections that hit EOF, errored, or sent QUIT — once their
-       queued replies have drained. *)
-    let dead =
-      Hashtbl.fold
-        (fun fd conn acc ->
-          if conn.closing && Buffer.length conn.outbuf = 0 then (fd, conn) :: acc else acc)
-        conns []
-    in
-    List.iter
-      (fun (fd, conn) ->
-        (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-        Hashtbl.remove conns fd)
-      dead
-  done;
-  drain_and_close ();
-  List.iter (fun (signal, h) -> try Sys.set_signal signal h with Invalid_argument _ -> ()) prev_handlers;
+  Conn_loop.run ~role:"server" ~log:(log t "%s") ~metrics:t.metrics ~stop:t.stop_flag
+    ~socket_path:t.config.socket_path ~tcp_port:t.config.tcp_port
+    ~max_connections:t.config.max_connections ~max_line_bytes:t.config.max_line_bytes
+    ~max_inbuf_bytes:t.config.max_inbuf_bytes
+    {
+      Conn_loop.init = ignore;
+      on_lines;
+      owes = (fun _ -> false);
+      links = (fun () -> []);
+      on_pass;
+      busy = (fun () -> false);
+      drain_s = 0.0;
+      abandon = ignore;
+    };
   (* Persist alongside the metrics dump, so a SIGTERM'd daemon restarted
      with the same --snapshot comes back warm. *)
   (match t.config.snapshot_file with

@@ -5,18 +5,23 @@
 
    Phase A throws protocol-level abuse at a governed daemon — random
    bytes, a newline-less slow-loris flood, mid-request disconnects, a
-   connection-count pile-up, and requests engineered to trip the
-   deadline / cell / cost guards — asserting every fault produces a
+   connection-count pile-up, requests engineered to trip the
+   deadline / cell / cost guards, and a client that pipelines large
+   replies and never reads them — asserting every fault produces a
    structured ERR (machine-readable "code") or a clean drop, that RSS
    stays bounded across repeated floods, and that the daemon still
-   answers afterwards.
+   answers afterwards. It also checks the --max-conns ceiling: a larger
+   value is refused at startup on both topologies, and a daemon at the
+   ceiling serves every slot and refuses the rest.
 
    Phase B attacks persistence: booting from garbage and truncated
    snapshot files, and SIGKILL racing a SAVE, asserting the
    atomic-rename discipline leaves every snapshot valid-or-absent and
    the next boot healthy.
 
-   Phase C attacks the sharded topology: SIGKILL of a shard worker under
+   Phase C attacks the sharded topology: a client that never reads its
+   replies through the router (the router drops it; no worker drops its
+   router link), SIGKILL of a shard worker under
    `--respawn` (the victim's graphs must come back snapshot-warm while
    the other shards never stop answering), and SIGKILL of the router
    itself (the workers must survive as independently addressable daemons
@@ -79,6 +84,26 @@ let wait_exit pid =
   match Unix.waitpid [] pid with
   | _, Unix.WEXITED code -> Some code
   | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> None
+
+(* [wait_exit] for a process that should exit on its own within [timeout]
+   seconds; one still running then is SIGTERMed, reaped, and reported as
+   [None]. *)
+let wait_exit_within ~timeout pid =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec poll () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        ignore (Unix.select [] [] [] 0.05);
+        poll ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigterm;
+        ignore (wait_exit pid);
+        None
+    | _, status -> (
+        live_daemons := List.filter (fun p -> p <> pid) !live_daemons;
+        match status with Unix.WEXITED code -> Some code | _ -> None)
+  in
+  poll ()
 
 let wait_for_socket sock =
   let deadline = Unix.gettimeofday () +. 15.0 in
@@ -239,6 +264,117 @@ let signature_of reply =
   in
   find 0
 
+(* A client pipelines large-reply QUERYs at [sock] and never reads: the
+   daemon must drop it once the reply backlog passes the out-buffer cap
+   (counted in the [conns_dropped] STATS counter, read from [section] of
+   the reply), keep its RSS bounded, and keep answering other clients.
+   [graph] must hold path20000 (a ~120 KB reply per QUERY). *)
+let reader_never_reads ~phase ~pid ~section sock graph =
+  let dropped () =
+    match request sock "STATS" with
+    | `Line stats -> json_int_field (section stats) "conns_dropped"
+    | `Eof | `Timeout -> None
+  in
+  let before = Option.value ~default:0 (dropped ()) in
+  let hog = connect sock in
+  let q = Printf.sprintf "QUERY %s 'agg_sum{x2}([1] | E(x1,x2))'\n" graph in
+  send_raw hog (String.concat "" (List.init 150 (fun _ -> q)));
+  let deadline = Unix.gettimeofday () +. 20.0 in
+  let rec await () =
+    match dropped () with
+    | Some n when n > before -> true
+    | _ when Unix.gettimeofday () > deadline -> false
+    | _ ->
+        ignore (Unix.select [] [] [] 0.2);
+        await ()
+  in
+  check (phase ^ ": a client that never reads is dropped past the out-buffer cap") (await ());
+  check (phase ^ ": the dropped client's socket is closed") (recv_eof ~timeout:20.0 hog);
+  close_quiet hog;
+  (match vmrss_kb pid with
+  | None -> check (phase ^ ": RSS bounded after the unread replies (skipped: no /proc)") true
+  | Some kb ->
+      check (Printf.sprintf "%s: RSS bounded after the unread replies (%d KB < 512 MB)" phase kb)
+        (kb < 512 * 1024));
+  expect_ok sock (phase ^ ": a second client still gets PING") "PING"
+
+(* A daemon started at the --max-conns ceiling serves every slot, refuses
+   the clients past it with ERR_LIMIT_CONNS, and still answers PING. *)
+let at_ceiling glqld dir ceiling =
+  let sock = Filename.concat dir "fault_a_ceiling.sock" in
+  let daemon =
+    spawn_daemon glqld
+      [ "--socket"; sock; "--max-conns"; string_of_int ceiling ]
+      ~stdout_file:(Filename.concat dir "daemon_a_ceiling.out")
+  in
+  wait_for_socket sock;
+  let parked = List.init ceiling (fun _ -> connect sock) in
+  (* Accepts happen in order, so a pong on the last one means every
+     parked connection holds a slot. *)
+  let last = List.nth parked (ceiling - 1) in
+  send_line last "PING";
+  check
+    (Printf.sprintf "A: %d connections at the ceiling are all served" ceiling)
+    (match recv_line last with `Line reply -> contains ~needle:"pong" reply | _ -> false);
+  let refused =
+    List.init 20 (fun _ ->
+        let fd = connect sock in
+        let r =
+          match recv_line fd with
+          | `Line reply -> contains ~needle:"\"code\":\"ERR_LIMIT_CONNS\"" reply
+          | `Eof | `Timeout -> false
+        in
+        close_quiet fd;
+        r)
+  in
+  check
+    (Printf.sprintf "A: %d clients past the ceiling all get ERR_LIMIT_CONNS" (List.length refused))
+    (List.for_all Fun.id refused);
+  let first = List.hd parked in
+  send_line first "PING";
+  check "A: the daemon at the ceiling still answers PING"
+    (match recv_line first with `Line reply -> contains ~needle:"pong" reply | _ -> false);
+  List.iter close_quiet parked;
+  Unix.kill daemon Sys.sigterm;
+  check "A: the daemon at the ceiling exits cleanly" (wait_exit daemon = Some 0)
+
+(* The --max-conns ceiling: past it select(2) could not watch the
+   descriptors, so glqld must refuse to start on either topology; at it,
+   the daemon serves every slot and refuses the rest. *)
+let max_conns_ceiling glqld dir =
+  let ceiling = Glql_server.Conn_loop.max_conns_ceiling in
+  List.iter
+    (fun (label, extra) ->
+      let pid =
+        spawn_daemon glqld
+          (extra @ [ "--socket"; Filename.concat dir "fault_a_over.sock"; "--max-conns"; "5000" ])
+          ~stdout_file:(Filename.concat dir "daemon_a_over.out")
+      in
+      check
+        (Printf.sprintf "A: --max-conns 5000 is refused at startup (%s)" label)
+        (match wait_exit_within ~timeout:5.0 pid with Some code -> code <> 0 | None -> false))
+    [ ("single daemon", []); ("router", [ "--router" ]) ];
+  (* The check holds ceiling + 20 sockets open in this process. *)
+  let fd_limit =
+    match open_in "/proc/self/limits" with
+    | exception Sys_error _ -> None
+    | ic ->
+        let rec scan () =
+          match input_line ic with
+          | exception End_of_file -> None
+          | line when String.length line > 14 && String.sub line 0 14 = "Max open files" ->
+              List.find_map int_of_string_opt (String.split_on_char ' ' line)
+          | _ -> scan ()
+        in
+        let r = scan () in
+        close_in ic;
+        r
+  in
+  match fd_limit with
+  | Some n when n < ceiling + 64 ->
+      check (Printf.sprintf "A: daemon at the --max-conns ceiling (skipped: fd limit %d)" n) true
+  | _ -> at_ceiling glqld dir ceiling
+
 (* --- phase A: protocol abuse against a governed daemon ------------------- *)
 
 let phase_a glqld dir =
@@ -360,6 +496,7 @@ let phase_a glqld dir =
   expect_code sock "A: HOM past the cost budget returns ERR_LIMIT_COST" "HOM big 9"
     "ERR_LIMIT_COST";
   expect_ok sock "A: small work still fine after guard trips" "WL g";
+  reader_never_reads ~phase:"A" ~pid:daemon ~section:Fun.id sock "big";
 
   (* The governance counters surfaced in STATS. *)
   (match request sock "STATS" with
@@ -373,7 +510,8 @@ let phase_a glqld dir =
 
   Unix.kill daemon Sys.sigterm;
   check "A: SIGTERM exits cleanly after all faults" (wait_exit daemon = Some 0);
-  check "A: metrics dumped after faults" (Sys.file_exists metrics_file)
+  check "A: metrics dumped after faults" (Sys.file_exists metrics_file);
+  max_conns_ceiling glqld dir
 
 (* --- phase B: snapshot faults -------------------------------------------- *)
 
@@ -471,6 +609,24 @@ let phase_c glqld dir =
     List.find_opt (fun g -> shard_of g <> victim_shard && shard_of g <> None) (List.tl candidates)
   in
   check "C: two graphs land on different shards" (victim_shard <> None && bystander <> None);
+  (* The router's own out buffers: its counters are the "router" section
+     of the merged STATS (the top level sums the workers'). *)
+  expect_ok sock "C: LOAD path20000 through the router" "LOAD big path20000";
+  let router_section stats =
+    let tag = "\"router\":{" in
+    let tl = String.length tag and n = String.length stats in
+    let rec find i =
+      if i + tl > n then "" else if String.sub stats i tl = tag then String.sub stats i (n - i)
+      else find (i + 1)
+    in
+    find 0
+  in
+  reader_never_reads ~phase:"C" ~pid:router ~section:router_section sock "big";
+  (match request sock "STATS" with
+  | `Line stats ->
+      check "C: the workers kept their router links (no worker dropped a connection)"
+        (json_int_field stats "conns_dropped" = Some 0)
+  | `Eof | `Timeout -> check "C: STATS after the unread replies" false);
   let victim_shard = Option.value ~default:0 victim_shard in
   let bystander = Option.value ~default:"gb" bystander in
   expect_ok sock "C: LOAD victim graph" (Printf.sprintf "LOAD %s petersen" victim_graph);

@@ -182,6 +182,37 @@ let () =
         (reply_s = reply_r && String.length reply_r > 0))
     deterministic;
 
+  (* Metrics labels through the router: lines that fail to parse all
+     count under one INVALID key, as on the single daemon, so N distinct
+     unknown command words cannot grow the router's by_command table. *)
+  let n_unknown = 40 in
+  let router_section () =
+    let _, stats = run router_sock [ "STATS" ] in
+    let tag = "\"router\":{" in
+    let tl = String.length tag and n = String.length stats in
+    let rec find i =
+      if i + tl > n then "" else if String.sub stats i tl = tag then String.sub stats i (n - i)
+      else find (i + 1)
+    in
+    find 0
+  in
+  let invalid_before = Option.value ~default:0 (json_int_field (router_section ()) "INVALID") in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX router_sock);
+  let burst = String.concat "" (List.init n_unknown (fun i -> Printf.sprintf "W%d x\n" i)) in
+  ignore (Unix.write_substring fd burst 0 (String.length burst));
+  let ic = Unix.in_channel_of_descr fd in
+  let replies = List.init n_unknown (fun _ -> input_line ic) in
+  close_in ic;
+  check "unknown command words are answered with ERR_PARSE"
+    (List.for_all (contains ~needle:"ERR_PARSE") replies);
+  let section = router_section () in
+  check
+    (Printf.sprintf "%d unknown words count as one INVALID key" n_unknown)
+    (json_int_field section "INVALID" = Some (invalid_before + n_unknown));
+  check "unknown words get no by_command key of their own"
+    (not (contains ~needle:"\"W0\":" section || contains ~needle:"\"W39\":" section));
+
   (* EXPLAIN: timings differ between processes, shape must not. *)
   let _, explain = run router_sock [ "EXPLAIN"; "a"; gel ] in
   check "EXPLAIN through the router is ok" (contains ~needle:"OK {" explain);

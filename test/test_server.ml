@@ -1052,6 +1052,73 @@ let test_line_buf_framing () =
   Alcotest.(check (list string)) "tail completes later" [ "QUERY" ] (feed_ok lb "RY\n");
   Alcotest.(check (list string)) "empty lines surface" [ ""; "" ] (feed_ok lb "\n\n")
 
+(* The loop's out buffer over a real socket pair. First ~3 MiB of
+   numbered lines are queued while the peer reads nothing, flushed until
+   the socket is full, then drained in small reads while flushing. Then,
+   with a small send buffer, random appends, flushes and reads interleave
+   so appends land behind partly written bytes (compaction and growth).
+   Every byte must arrive exactly once and in order, and each flush must
+   lower the pending count by exactly what it reports writing. *)
+let test_outbuf_partial_writes () =
+  let module O = Glql_server.Conn_loop.Outbuf in
+  let writer, reader = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock writer;
+  let ob = ref (O.create ()) in
+  let expected = Buffer.create (4 * 1024 * 1024) in
+  let next = ref 0 in
+  let queue_line () =
+    let line = Printf.sprintf "%08d %s\n" !next (String.make (!next mod 61) 'x') in
+    incr next;
+    Buffer.add_string expected line;
+    O.add !ob line
+  in
+  let flush () =
+    let before = O.pending !ob in
+    let wrote = O.flush !ob writer in
+    check_int "pending falls by exactly the bytes written" wrote (before - O.pending !ob);
+    wrote
+  in
+  let got = Buffer.create (Buffer.length expected) in
+  let chunk = Bytes.create 4096 in
+  let read_some len =
+    match Unix.read reader chunk 0 len with
+    | n -> Buffer.add_subbytes got chunk 0 n
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  while Buffer.length expected < 3 * 1024 * 1024 do
+    queue_line ()
+  done;
+  check_int "everything queued is pending" (Buffer.length expected) (O.pending !ob);
+  let rec fill total = match flush () with 0 -> total | n -> fill (total + n) in
+  let first = fill 0 in
+  check_bool "the unread socket took only part of the backlog" true
+    (first > 0 && O.pending !ob > 0);
+  while Buffer.length got < Buffer.length expected do
+    read_some (Bytes.length chunk);
+    ignore (flush ())
+  done;
+  check_int "nothing left pending" 0 (O.pending !ob);
+  (* A fresh (small) buffer, so appends soon outgrow it. *)
+  ob := O.create ();
+  Unix.setsockopt_int writer Unix.SO_SNDBUF 4096;
+  Unix.set_nonblock reader;
+  let rng = Random.State.make [| 7 |] in
+  (* The reader takes a little less than is queued, so the backlog creeps
+     up behind a full socket. *)
+  for _ = 1 to 20_000 do
+    queue_line ();
+    ignore (flush ());
+    read_some (1 + Random.State.int rng 70)
+  done;
+  while O.pending !ob > 0 || Buffer.length got < Buffer.length expected do
+    ignore (flush ());
+    read_some (Bytes.length chunk)
+  done;
+  check_bool "bytes arrive exact and in order" true
+    (Buffer.contents got = Buffer.contents expected);
+  Unix.close writer;
+  Unix.close reader
+
 let test_line_buf_limits () =
   (* Line limit: a complete line over the cap errors even when it arrives
      in one gulp alongside the newline. *)
@@ -1456,5 +1523,6 @@ let suite =
       prop_parse_request_total;
       case "line_buf framing" test_line_buf_framing;
       case "line_buf limits" test_line_buf_limits;
+      case "conn_loop out buffer: partial writes" test_outbuf_partial_writes;
       prop_line_buf_reassembly;
     ] )
