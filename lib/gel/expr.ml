@@ -10,7 +10,8 @@
 
    Expressions produced by the compilers are DAGs (layers share their
    predecessor), so every analysis and the evaluator memoise on physical
-   identity. *)
+   identity — in a table private to one top-level call, never in one
+   shared by the process. *)
 
 module Vec = Glql_tensor.Vec
 module Graph = Glql_graph.Graph
@@ -35,7 +36,12 @@ exception Type_error of string
 let type_error fmt = Printf.ksprintf (fun s -> raise (Type_error s)) fmt
 
 (* Physical-identity memo tables: expressions are DAGs and [Hashtbl.hash]
-   is depth-bounded, so this is O(1) per node and sound for (==). *)
+   is depth-bounded, so this is O(1) per node and sound for (==). Each
+   analysis creates its table per top-level call and drops it on return.
+   A process-wide table would keep every expression ever analysed alive,
+   pile the structurally equal nodes of separate parses into one hash
+   chain (so a lookup would cost more the longer the process had run),
+   and be written by pool domains without a lock. *)
 module Memo = Hashtbl.Make (struct
   type nonrec t = t
 
@@ -46,6 +52,26 @@ end)
 let check_var x = if x < 1 then type_error "variable x%d: variables are numbered from 1" x
 
 let sorted_union a b = List.sort_uniq compare (a @ b)
+
+(* The well-formedness rules, shared by the analyses and the evaluator. *)
+let check_binder ys =
+  List.iter check_var ys;
+  if List.length (List.sort_uniq compare ys) <> List.length ys then
+    type_error "aggregation binds a variable twice";
+  if ys = [] then type_error "aggregation must bind at least one variable"
+
+let check_apply (f : Func.t) got =
+  if got <> f.Func.in_dims then
+    type_error "Apply %s: argument dims [%s] do not match signature [%s]" f.Func.name
+      (String.concat ";" (List.map string_of_int got))
+      (String.concat ";" (List.map string_of_int f.Func.in_dims))
+
+let check_agg (th : Agg.t) dv =
+  if dv <> th.Agg.in_dim then
+    type_error "Agg %s: value dim %d does not match aggregator dim %d" th.Agg.name dv th.Agg.in_dim
+
+(* Free variables of an [Agg] node from those of its value and guard. *)
+let agg_free ys inner = List.filter (fun v -> not (List.mem v ys)) inner
 
 (* --- static analysis --------------------------------------------------- *)
 
@@ -67,19 +93,15 @@ let free_vars_memoized () =
           | Const _ -> []
           | Apply (_, args) -> List.fold_left (fun acc a -> sorted_union acc (go a)) [] args
           | Agg (_, ys, value, guard) ->
-              List.iter check_var ys;
-              if List.length (List.sort_uniq compare ys) <> List.length ys then
-                type_error "aggregation binds a variable twice";
-              if ys = [] then type_error "aggregation must bind at least one variable";
-              let inner = sorted_union (go value) (go guard) in
-              List.filter (fun v -> not (List.mem v ys)) inner
+              check_binder ys;
+              agg_free ys (sorted_union (go value) (go guard))
         in
         Memo.add memo e fv;
         fv
   in
   go
 
-let free_vars = free_vars_memoized ()
+let free_vars e = free_vars_memoized () e
 
 let all_vars e =
   let memo = Memo.create 64 in
@@ -115,19 +137,12 @@ let dim_memoized () =
           | Lab _ | Edge _ | Cmp _ -> 1
           | Const v -> Vec.dim v
           | Apply (f, args) ->
-              let got = List.map go args in
-              if got <> f.Func.in_dims then
-                type_error "Apply %s: argument dims [%s] do not match signature [%s]"
-                  f.Func.name
-                  (String.concat ";" (List.map string_of_int got))
-                  (String.concat ";" (List.map string_of_int f.Func.in_dims));
+              check_apply f (List.map go args);
               f.Func.out_dim
           | Agg (th, _, value, guard) ->
               let dv = go value in
               let _dg = go guard in
-              if dv <> th.Agg.in_dim then
-                type_error "Agg %s: value dim %d does not match aggregator dim %d" th.Agg.name dv
-                  th.Agg.in_dim;
+              check_agg th dv;
               th.Agg.out_dim
         in
         Memo.add memo e d;
@@ -136,8 +151,8 @@ let dim_memoized () =
   go
 
 (* Dimension of an expression (slide 42); raises [Type_error] if the
-   expression is ill-formed. Globally memoized (physical identity). *)
-let dim = dim_memoized ()
+   expression is ill-formed. One walk of the DAG per call. *)
+let dim e = dim_memoized () e
 
 (* Maximum nesting depth of aggregations — the number of message-passing
    rounds an MPNN expression performs. *)
@@ -184,6 +199,7 @@ let n_nodes e =
    is a global readout over a closed guard. *)
 let is_mpnn e =
   let memo = Memo.create 64 in
+  let free_vars = free_vars_memoized () in
   let rec check e =
     match Memo.find_opt memo e with
     | Some b -> b
@@ -262,6 +278,10 @@ let rec enumerate n vars env k =
         enumerate n rest env k
       done
 
+(* Each node's dimension and free variables come from the tables of its
+   children (a table's [tvars] are its expression's free variables), and
+   each node is checked against the rules of [dim] and [free_vars] as it
+   is reached, so the DAG is walked once. *)
 let eval g e =
   let n = Graph.n_vertices g in
   let memo = Memo.create 64 in
@@ -275,11 +295,10 @@ let eval g e =
         Memo.add memo e t;
         t
   and compute e =
-    let d = dim e in
-    let fv = free_vars e in
     match e with
-    | Const v -> { tvars = []; tn = n; tdim = d; tdata = [| v |] }
+    | Const v -> { tvars = []; tn = n; tdim = Vec.dim v; tdata = [| v |] }
     | Lab (j, x) ->
+        check_var x;
         let data =
           Array.init n (fun v ->
               let l = Graph.label g v in
@@ -289,10 +308,13 @@ let eval g e =
         in
         { tvars = [ x ]; tn = n; tdim = 1; tdata = data }
     | Edge (x, y) ->
+        check_var x;
+        check_var y;
         if x = y then
           (* E(x, x) is false on simple graphs. *)
           { tvars = [ x ]; tn = n; tdim = 1; tdata = Array.init n (fun _ -> [| 0.0 |]) }
         else begin
+          let fv = List.sort compare [ x; y ] in
           let t = { tvars = fv; tn = n; tdim = 1; tdata = Array.make (table_size n fv) [||] } in
           enumerate n fv env (fun () ->
               t.tdata.(table_index t env) <-
@@ -300,11 +322,14 @@ let eval g e =
           t
         end
     | Cmp (op, x, y) ->
+        check_var x;
+        check_var y;
         if x = y then begin
           let v = match op with Ceq -> 1.0 | Cneq -> 0.0 in
           { tvars = [ x ]; tn = n; tdim = 1; tdata = Array.init n (fun _ -> [| v |]) }
         end
         else begin
+          let fv = List.sort compare [ x; y ] in
           let t = { tvars = fv; tn = n; tdim = 1; tdata = Array.make (table_size n fv) [||] } in
           enumerate n fv env (fun () ->
               let same = env.(x) = env.(y) in
@@ -314,14 +339,19 @@ let eval g e =
         end
     | Apply (f, args) ->
         let arg_tables = List.map go args in
-        let t = { tvars = fv; tn = n; tdim = d; tdata = Array.make (table_size n fv) [||] } in
+        check_apply f (List.map (fun at -> at.tdim) arg_tables);
+        let fv = List.fold_left (fun acc at -> sorted_union acc at.tvars) [] arg_tables in
+        let t = { tvars = fv; tn = n; tdim = f.Func.out_dim; tdata = Array.make (table_size n fv) [||] } in
         enumerate n fv env (fun () ->
             let inputs = List.map (fun at -> table_get at env) arg_tables in
             t.tdata.(table_index t env) <- f.Func.apply inputs);
         t
     | Agg (th, ys, value, guard) ->
+        check_binder ys;
         let vt = go value and gt = go guard in
-        let t = { tvars = fv; tn = n; tdim = d; tdata = Array.make (table_size n fv) [||] } in
+        check_agg th vt.tdim;
+        let fv = agg_free ys (sorted_union vt.tvars gt.tvars) in
+        let t = { tvars = fv; tn = n; tdim = th.Agg.out_dim; tdata = Array.make (table_size n fv) [||] } in
         (* Fast path: single bound variable guarded by an adjacency atom
            with a free other endpoint — iterate neighbours only. *)
         let fast =

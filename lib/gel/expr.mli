@@ -4,9 +4,13 @@
     An expression with [p] free variables and dimension [d] denotes an
     invariant p-vertex embedding [xi : G -> (V^p -> R^d)]. Evaluation is
     database-style bottom-up materialisation of one table per
-    subexpression. Expressions may share subterms (DAGs); all analyses and
-    the evaluator memoise on physical identity, so build shared structure
-    with [let] bindings for efficiency. *)
+    subexpression. Expressions may share subterms (DAGs); every analysis
+    and the evaluator memoise on physical identity within one call, so
+    shared structure built with [let] bindings is visited once per call.
+    Nothing is memoised across calls: each call to {!dim} or
+    {!free_vars} walks the whole DAG, and no expression is retained once
+    the call returns. A pass that needs more holds a
+    {!free_vars_memoized} or {!dim_memoized} function for its duration. *)
 
 module Vec = Glql_tensor.Vec
 module Graph = Glql_graph.Graph
@@ -38,6 +42,14 @@ val width : t -> int
 
 (** Output dimension; raises {!Type_error} on ill-formed expressions. *)
 val dim : t -> int
+
+(** [free_vars] and [dim] for a pass that asks about many nodes of one
+    DAG: the returned function keeps its memo table for as long as the
+    caller holds it, so each node is walked once over all its calls.
+    Drop it when the pass ends, and do not share it between domains. *)
+val free_vars_memoized : unit -> t -> var list
+
+val dim_memoized : unit -> t -> int
 
 (** Maximum aggregation nesting depth (message-passing rounds). *)
 val agg_depth : t -> int

@@ -49,10 +49,12 @@ let deg ~x ~y = Expr.Agg (Agg.sum 1, [ y ], Expr.Const [| 1.0 |], Expr.Edge (x, 
 (* --- step 1: separation ------------------------------------------------- *)
 
 (* [push ~x ~y value] builds an expression over {x} equal to
-   sum_{y in N(x)} value(x, y). *)
-let rec push ~x ~y value =
-  let fv = Expr.free_vars value in
-  let d = Expr.dim value in
+   sum_{y in N(x)} value(x, y). [free_vars] and [dim] are the memoised
+   analyses of the enclosing [separate] call, so pushing through a deep
+   value walks each of its nodes once. *)
+let rec push ~free_vars ~dim ~x ~y value =
+  let fv = free_vars value in
+  let d = dim value in
   if fv = [] || fv = [ x ] then
     (* Independent of y: the sum is deg(x) copies. *)
     Expr.Apply (Func.scale_by d, [ value; deg ~x ~y ])
@@ -67,16 +69,17 @@ let rec push ~x ~y value =
         deg ~x ~y
     | Expr.Cmp (Expr.Ceq, a, b) when (a = x && b = y) || (a = y && b = x) ->
         Expr.Const [| 0.0 |]
-    | Expr.Apply (f, args) -> push_apply ~x ~y f args
+    | Expr.Apply (f, args) -> push_apply ~free_vars ~dim ~x ~y f args
     | _ -> unsupported "cannot push sum through %s" (Expr.to_string value)
   end
 
-and push_apply ~x ~y f args =
+and push_apply ~free_vars ~dim ~x ~y f args =
+  let push = push ~free_vars ~dim in
   let open Func in
   match (f.kind, args) with
   | K_concat, _ ->
       let pushed = List.map (push ~x ~y) args in
-      Expr.Apply (Func.concat (List.map Expr.dim pushed), pushed)
+      Expr.Apply (Func.concat (List.map dim pushed), pushed)
   | K_linear (w, b), [ arg ] ->
       (* sum (a W + b) = (sum a) W + deg * b *)
       let bmat = Mat.init 1 (Vec.dim b) (fun _ j -> b.(j)) in
@@ -91,15 +94,15 @@ and push_apply ~x ~y f args =
   | K_add, [ a; b ] -> Expr.Apply (f, [ push ~x ~y a; push ~x ~y b ])
   | K_scale _, [ a ] -> Expr.Apply (f, [ push ~x ~y a ])
   | K_product, [ a; b ] ->
-      let fa = Expr.free_vars a and fb = Expr.free_vars b in
-      let dprod = Expr.dim a in
+      let fa = free_vars a and fb = free_vars b in
+      let dprod = dim a in
       if List.for_all (fun v -> v = x) fa then Expr.Apply (Func.product dprod, [ a; push ~x ~y b ])
       else if List.for_all (fun v -> v = x) fb then
         Expr.Apply (Func.product dprod, [ push ~x ~y a; b ])
       else unsupported "product mixes the bound variable on both sides"
   | K_scale_by, [ v; s ] ->
-      let fvv = Expr.free_vars v and fvs = Expr.free_vars s in
-      let dv = Expr.dim v in
+      let fvv = free_vars v and fvs = free_vars s in
+      let dv = dim v in
       if List.for_all (fun w -> w = x) fvs then Expr.Apply (Func.scale_by dv, [ push ~x ~y v; s ])
       else if List.for_all (fun w -> w = x) fvv then
         Expr.Apply (Func.scale_by dv, [ v; push ~x ~y s ])
@@ -111,6 +114,7 @@ and push_apply ~x ~y f args =
    sharing. *)
 let separate e =
   let memo = Memo.create 64 in
+  let push = push ~free_vars:(Expr.free_vars_memoized ()) ~dim:(Expr.dim_memoized ()) in
   let rec go e =
     match Memo.find_opt memo e with
     | Some e' -> e'
@@ -196,13 +200,14 @@ let of_vertex_expr_untraced e =
   (* Ignore the deg-guard constant aggregations?  No: all are genuine sum
      aggregations; each gets slots.  Assign offsets. *)
   let slots = Memo.create 16 in
+  let dim = Expr.dim_memoized () in
   let next = ref d0 in
   let slot_list =
     List.filter_map
       (fun a ->
         match a with
         | Expr.Agg (_, _, value, _) ->
-            let sdim = Expr.dim value in
+            let sdim = dim value in
             let s = { msg_off = !next; res_off = !next + sdim; sdim; message = value } in
             next := !next + (2 * sdim);
             Memo.add slots a s;
@@ -263,7 +268,7 @@ let of_vertex_expr_untraced e =
     List.concat_map (fun t -> [ make_message_layer t; make_collect_layer t ])
       (List.init n_rounds (fun i -> i + 1))
   in
-  let out_dim = Expr.dim sep in
+  let out_dim = dim sep in
   let output =
     Func.custom ~name:"nf-out" ~in_dims:[ feature_dim ] ~out_dim (fun args ->
         match args with [ f ] -> interp sep f | _ -> assert false)

@@ -139,60 +139,73 @@ let requests t = with_lock t (fun () -> t.requests)
 
 let errors t = with_lock t (fun () -> t.errors)
 
-let ring_percentile ring ~filled p =
+(* Nearest-rank percentile, rank ⌈p/100·n⌉, of a private copy of a
+   window: [Int_sort.select] permutes [sample] in place, in linear time,
+   so p50 and p99 can be drawn from the same copy one after the other. *)
+let percentile_of sample p =
+  let filled = Array.length sample in
   if filled = 0 then Float.nan
   else begin
-    let sorted = Array.sub ring 0 filled in
-    Array.sort compare sorted;
     let rank = int_of_float (ceil (p /. 100.0 *. float_of_int filled)) in
-    let idx = max 0 (min (filled - 1) (rank - 1)) in
-    float_of_int sorted.(idx)
+    float_of_int (Glql_util.Int_sort.select sample (max 0 (min (filled - 1) (rank - 1))))
   end
 
-let percentile_ns_locked t p = ring_percentile t.ring ~filled:(min t.requests window) p
+(* The filled part of the request ring. Callers hold the lock; only this
+   copy is taken under it — selection runs after the lock is released, so
+   STATS never holds [record] up for more than one array copy. *)
+let request_sample_locked t = Array.sub t.ring 0 (min t.requests window)
 
-let percentile_ms t p = with_lock t (fun () -> percentile_ns_locked t p /. 1e6)
+let percentile_ms t p = percentile_of (with_lock t (fun () -> request_sample_locked t)) p /. 1e6
 
 let to_json t ~extra =
   let open Protocol in
-  let fields =
+  let counters, sample, by_command, stages =
     with_lock t (fun () ->
-        let p50 = percentile_ns_locked t 50.0 /. 1e6 in
-        let p99 = percentile_ns_locked t 99.0 /. 1e6 in
-        [
-          ("uptime_s", Float (Clock.ns_to_s (Clock.elapsed_ns t.started_ns)));
-          ("requests", Int t.requests);
-          ("errors", Int t.errors);
-          ("bytes_in", Int t.bytes_in);
-          ("bytes_out", Int t.bytes_out);
-          ("conns_rejected", Int t.conns_rejected);
-          ("conns_dropped", Int t.conns_dropped);
-          ("batch_coalesced", Int t.batch_coalesced);
-          ("latency_p50_ms", Float p50);
-          ("latency_p99_ms", Float p99);
-          ( "by_command",
-            Obj
-              (Hashtbl.fold (fun k v acc -> (k, Int v) :: acc) t.by_command []
-              |> List.sort compare) );
-          ( "stages",
-            Obj
-              (Hashtbl.fold
-                 (fun name st acc ->
-                   let filled = min st.s_count stage_window in
-                   ( name,
-                     Obj
-                       [
-                         ("count", Int st.s_count);
-                         ("total_ms", Float (st.s_total_ns /. 1e6));
-                         ("p50_ms", Float (ring_percentile st.s_ring ~filled 50.0 /. 1e6));
-                         ("p99_ms", Float (ring_percentile st.s_ring ~filled 99.0 /. 1e6));
-                       ] )
-                   :: acc)
-                 t.by_stage []
-              |> List.sort compare) );
-        ])
+        ( [
+            ("uptime_s", Float (Clock.ns_to_s (Clock.elapsed_ns t.started_ns)));
+            ("requests", Int t.requests);
+            ("errors", Int t.errors);
+            ("bytes_in", Int t.bytes_in);
+            ("bytes_out", Int t.bytes_out);
+            ("conns_rejected", Int t.conns_rejected);
+            ("conns_dropped", Int t.conns_dropped);
+            ("batch_coalesced", Int t.batch_coalesced);
+          ],
+          request_sample_locked t,
+          Hashtbl.fold (fun k v acc -> (k, Int v) :: acc) t.by_command [],
+          Hashtbl.fold
+            (fun name st acc ->
+              (name, st.s_count, st.s_total_ns, Array.sub st.s_ring 0 (min st.s_count stage_window))
+              :: acc)
+            t.by_stage [] ))
   in
-  Obj (fields @ extra)
+  (* Per-process heap gauges, outside the persisted [counters] like the
+     governance counters: they describe this process's life. *)
+  let gc = Gc.quick_stat () in
+  let stage (name, count, total_ns, sample) =
+    ( name,
+      Obj
+        [
+          ("count", Int count);
+          ("total_ms", Float (total_ns /. 1e6));
+          ("p50_ms", Float (percentile_of sample 50.0 /. 1e6));
+          ("p99_ms", Float (percentile_of sample 99.0 /. 1e6));
+        ] )
+  in
+  Obj
+    (counters
+    @ [
+        ("gc_heap_words", Int gc.Gc.heap_words);
+        ("gc_top_heap_words", Int gc.Gc.top_heap_words);
+        ("gc_minor_collections", Int gc.Gc.minor_collections);
+        ("gc_major_collections", Int gc.Gc.major_collections);
+        ("latency_p50_ms", Float (percentile_of sample 50.0 /. 1e6));
+        ("latency_p99_ms", Float (percentile_of sample 99.0 /. 1e6));
+        ("by_command", Obj (List.sort compare by_command));
+        ( "stages",
+          Obj (List.map stage (List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) stages)) );
+      ]
+    @ extra)
 
 let write_file t ~extra path =
   let oc = open_out path in

@@ -8,6 +8,10 @@ type t
 (** Size of the sliding latency window (exposed for boundary tests). *)
 val window : int
 
+(** Size of each pipeline stage's sliding window (exposed for boundary
+    tests). *)
+val stage_window : int
+
 val create : unit -> t
 
 (** Count one finished request. *)
@@ -57,9 +61,12 @@ val errors : t -> int
     ([p] in [0..100]; [nan] before the first request). *)
 val percentile_ms : t -> float -> float
 
-(** Snapshot as JSON fields (uptime, totals, quantiles, per-command
-    counts); [extra] fields are appended — the server passes cache and
-    registry gauges. *)
+(** Snapshot as JSON fields (uptime, totals, this process's
+    [Gc.quick_stat] heap gauges, quantiles, per-command counts, per-stage
+    histograms); [extra] fields are appended — the server passes cache
+    and registry gauges. The metrics lock is held only to copy the
+    counters and the filled part of each window; percentiles are then
+    selected from the copies in linear time. *)
 val to_json : t -> extra:(string * Protocol.json) list -> Protocol.json
 
 (** Write the JSON snapshot (plus [extra]) to a file, one object. *)

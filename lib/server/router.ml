@@ -425,6 +425,22 @@ let notify t m line =
       fill_slot t slot line)
     m.m_notify
 
+(* SIGKILL a managed worker and wait it out. SIGKILL also ends a stopped
+   process, so this never blocks on a wedged one. *)
+let kill_and_reap m =
+  Option.iter
+    (fun pid ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      let rec wait () =
+        match Unix.waitpid [] pid with
+        | _ -> ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+        | exception Unix.Unix_error _ -> ()
+      in
+      wait ())
+    m.m_pid;
+  m.m_pid <- None
+
 let member_down t m reason =
   Option.iter Conn_loop.close_link (link_of m);
   m.m_state <- Down;
@@ -441,6 +457,10 @@ let member_down t m reason =
   if t.config.respawn && m.m_spec.Shard.sp_argv <> None && m.m_respawns < 5 then begin
     m.m_respawns <- m.m_respawns + 1;
     log t "shard %d %s respawning (attempt %d)" shard (role_label m) m.m_respawns;
+    (* A member is also marked down while its process lives on (probe
+       timeout, mirror divergence, a dropped link); its replacement
+       unlinks and rebinds the socket, so the old one must go first. *)
+    kill_and_reap m;
     boot t m
   end
 
@@ -1000,26 +1020,17 @@ let wait_boot t =
 (* SIGTERM every managed worker, give them a window to drain, then
    SIGKILL (and wait out) whatever is left. *)
 let terminate_children t =
-  let signal_all s =
-    List.iter
-      (fun m -> Option.iter (fun pid -> try Unix.kill pid s with Unix.Unix_error _ -> ()) m.m_pid)
-      (all_members t)
-  in
-  signal_all Sys.sigterm;
+  List.iter
+    (fun m ->
+      Option.iter (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ()) m.m_pid)
+    (all_members t);
   let deadline = Clock.deadline_after 10.0 in
   reap t;
   while List.exists (fun m -> m.m_pid <> None) (all_members t) && not (Clock.expired deadline) do
     Unix.sleepf 0.05;
     reap t
   done;
-  signal_all Sys.sigkill;
-  List.iter
-    (fun m ->
-      Option.iter
-        (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-        m.m_pid;
-      m.m_pid <- None)
-    (all_members t)
+  List.iter kill_and_reap (all_members t)
 
 let serve t =
   Conn_loop.with_signals t.stop_flag @@ fun () ->

@@ -9,5 +9,13 @@
 (** Sort [a] in place, ascending. *)
 val sort : int array -> unit
 
+(** [select a k] is the element of rank [k] (0-based) of [a], i.e.
+    [(sorted_copy a).(k)], found in expected linear time by quickselect.
+    [a] is permuted in place; any number of selections may follow on the
+    same array. The worst case is O(n log n): a range that has not
+    shrunk to a few elements after about 2·log2 n partition rounds is
+    sorted instead. Raises [Invalid_argument] unless [0 <= k < length a]. *)
+val select : int array -> int -> int
+
 (** Ascending-sorted copy; the argument is left untouched. *)
 val sorted_copy : int array -> int array

@@ -23,9 +23,10 @@
    replies through the router (the router drops it; no worker drops its
    router link), SIGKILL of a shard worker under
    `--respawn` (the victim's graphs must come back snapshot-warm while
-   the other shards never stop answering), and SIGKILL of the router
+   the other shards never stop answering), SIGKILL of the router
    itself (the workers must survive as independently addressable daemons
-   on their own shard sockets).
+   on their own shard sockets), and a SIGSTOPped worker (the router must
+   kill and reap it before respawning its shard).
 
    Phase D attacks the v5 mutation path: a pipelined flood of MUTATE
    batches — valid, malformed, and mixed — must produce only structured
@@ -42,7 +43,11 @@
    Phase F attacks the RETRAIN-on-stale loop: a MUTATE flood racing the
    idle-loop refits must leave every request structurally answered,
    MODELS holding exactly the trained model, and — once the flood stops
-   — a PREDICT that settles to stale:false on the final generation. *)
+   — a PREDICT that settles to stale:false on the final generation.
+
+   Phase G floods a router whose members' latency windows are already
+   full with a PING/WL/HOM/triangle-QUERY/STATS mix, asserting replies
+   complete in every second, all of them OK, with RSS bounded. *)
 
 let failures = ref 0
 
@@ -583,6 +588,68 @@ let phase_b glqld dir =
 
 (* --- phase C: sharded-topology faults ------------------------------------ *)
 
+(* Whether [pid] has exited: it no longer exists, or is a zombie nobody
+   has reaped yet. *)
+let gone pid =
+  match Unix.kill pid 0 with
+  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+  | exception Unix.Unix_error _ -> false
+  | () -> (
+      match read_file (Printf.sprintf "/proc/%d/stat" pid) with
+      | exception Sys_error _ -> false
+      | stat -> contains ~needle:") Z" stat)
+
+(* A worker that stops answering without exiting (SIGSTOP) fails its
+   health probe; with --respawn the router must kill and reap it before
+   booting the replacement, so no stale process outlives its shard. *)
+let wedged_worker glqld dir =
+  let sock = Filename.concat dir "fault_c_wedge.sock" in
+  let router =
+    spawn_daemon glqld
+      [ "--router"; "--workers"; "2"; "--respawn"; "--probe-interval"; "0.2"; "--probe-timeout"; "1";
+        "--socket"; sock ]
+      ~stdout_file:(Filename.concat dir "router_c_wedge.out")
+  in
+  wait_for_socket sock;
+  expect_ok sock "C: LOAD a graph for the wedged worker" "LOAD w petersen";
+  expect_ok sock "C: SAVE before the wedge" "SAVE";
+  let shard =
+    match request sock "ROUTE w" with
+    | `Line reply -> Option.value ~default:0 (json_int_field reply "shard")
+    | `Eof | `Timeout -> 0
+  in
+  let victim =
+    match request sock "TOPOLOGY" with
+    | `Line topology -> primary_pid topology shard
+    | `Eof | `Timeout -> None
+  in
+  check "C: TOPOLOGY names the worker to wedge" (victim <> None);
+  Option.iter
+    (fun pid ->
+      (* If the router never kills it, the harness must. *)
+      live_daemons := pid :: !live_daemons;
+      Unix.kill pid Sys.sigstop)
+    victim;
+  let victim_gone () = match victim with Some pid -> gone pid | None -> false in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while (not (victim_gone ())) && Unix.gettimeofday () < deadline do
+    ignore (Unix.select [] [] [] 0.1)
+  done;
+  check "C: the wedged worker is killed within 5 s" (victim_gone ());
+  if victim_gone () then live_daemons := List.filter (fun p -> Some p <> victim) !live_daemons;
+  let deadline = Unix.gettimeofday () +. 15.0 in
+  let answered = ref false in
+  while (not !answered) && Unix.gettimeofday () < deadline do
+    (match request sock "WL w" with
+    | `Line reply when String.starts_with ~prefix:"OK" reply -> answered := true
+    | _ -> ());
+    if not !answered then ignore (Unix.select [] [] [] 0.2)
+  done;
+  check "C: the wedged worker's shard answers WL again" !answered;
+  Unix.kill router Sys.sigterm;
+  check "C: the router with a respawned worker exits cleanly"
+    (wait_exit_within ~timeout:20.0 router = Some 0)
+
 let phase_c glqld dir =
   let sock = Filename.concat dir "fault_c.sock" in
   let router =
@@ -710,20 +777,12 @@ let phase_c glqld dir =
   List.iter (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ()) worker_pids;
   (* The workers were reparented when the router died, so they cannot be
      waited on — poll until each is gone (or a zombie awaiting init). *)
-  let gone pid =
-    match Unix.kill pid 0 with
-    | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
-    | exception Unix.Unix_error _ -> false
-    | () -> (
-        match read_file (Printf.sprintf "/proc/%d/stat" pid) with
-        | exception Sys_error _ -> false
-        | stat -> contains ~needle:") Z" stat)
-  in
   let deadline = Unix.gettimeofday () +. 10.0 in
   while (not (List.for_all gone worker_pids)) && Unix.gettimeofday () < deadline do
     ignore (Unix.select [] [] [] 0.2)
   done;
-  check "C: workers drain on SIGTERM after the router is gone" (List.for_all gone worker_pids)
+  check "C: workers drain on SIGTERM after the router is gone" (List.for_all gone worker_pids);
+  wedged_worker glqld dir
 
 (* --- phase D: mutation faults --------------------------------------------- *)
 
@@ -1025,6 +1084,136 @@ let phase_f glqld dir =
   Unix.kill daemon Sys.sigterm;
   check "F: clean exit after the retrain race" (wait_exit daemon = Some 0)
 
+(* --- phase G: a flood through the router ---------------------------------- *)
+
+(* Pipeline [n] PINGs at [sock] in one write and read the [n] pongs: ages
+   the daemon's latency window to full, as a long-lived one has it. *)
+let prefill sock n =
+  let fd = connect sock in
+  send_raw fd (String.concat "" (List.init n (fun _ -> "PING\n")));
+  let chunk = Bytes.create 65536 in
+  let rec drain left =
+    left <= 0
+    ||
+    match Unix.select [ fd ] [] [] 10.0 with
+    | [], _, _ -> false
+    | _ -> (
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> false
+        | k ->
+            let lines = ref 0 in
+            Bytes.iter (fun c -> if c = '\n' then incr lines) (Bytes.sub chunk 0 k);
+            drain (left - !lines)
+        | exception Unix.Unix_error _ -> false)
+  in
+  let ok = drain n in
+  close_quiet fd;
+  ok
+
+(* A router and two workers, each with a full latency window, take a
+   flood: one client writes a PING/WL/HOM/triangle-QUERY/STATS mix as
+   fast as the socket takes it for 5 s, holding up to [in_flight]
+   requests unanswered, and reads replies as they arrive. Request cost
+   must not grow with the daemons' age, so replies complete in every
+   second. The cap keeps the router's unbounded request buffering (it has
+   no backpressure yet) from deciding the outcome: without it the router
+   spends the CPU the workers need on queueing the client's bytes. *)
+let phase_g glqld dir =
+  let sock = Filename.concat dir "fault_g.sock" in
+  let router =
+    spawn_daemon glqld
+      [ "--router"; "--workers"; "2"; "--socket"; sock ]
+      ~stdout_file:(Filename.concat dir "router_g.out")
+  in
+  wait_for_socket sock;
+  check "G: router front socket appears" (Sys.file_exists sock);
+  expect_ok sock "G: LOAD a" "LOAD a petersen";
+  expect_ok sock "G: LOAD b" "LOAD b cycle12";
+  let topology =
+    match request sock "TOPOLOGY" with `Line reply -> reply | `Eof | `Timeout -> ""
+  in
+  let workers = List.filter_map (primary_pid topology) [ 0; 1 ] in
+  check "G: TOPOLOGY names both workers" (List.length workers = 2);
+  let window = Glql_server.Metrics.window in
+  check "G: every latency window is filled before the flood"
+    (List.for_all
+       (fun s -> prefill s window)
+       [ sock; Printf.sprintf "%s.shard0" sock; Printf.sprintf "%s.shard1" sock ]);
+  let triangles =
+    "'agg_sum{x1,x2,x3}(product(E(x1,x2), product(E(x2,x3), E(x3,x1))) | [1])'"
+  in
+  (* A monitoring agent's share of STATS: one in 29 requests. *)
+  let mix =
+    List.concat
+      (List.init 4 (fun _ ->
+           [ "PING"; "WL a"; "HOM b 4"; "QUERY a " ^ triangles; "WL b"; "QUERY b " ^ triangles;
+             "HOM a 4" ]))
+    @ [ "STATS" ]
+  in
+  let lines = Array.of_list (List.map (fun l -> l ^ "\n") mix) in
+  let in_flight = 1024 in
+  let fd = connect sock in
+  Unix.set_nonblock fd;
+  let seconds = 5 in
+  let per_second = Array.make seconds 0 in
+  let sent = ref 0 and received = ref 0 and bad = ref 0 in
+  let pending = Buffer.create 65536 in
+  let line = Buffer.create 256 in
+  let chunk = Bytes.create 65536 in
+  let start = Unix.gettimeofday () in
+  let rec pump () =
+    let elapsed = Unix.gettimeofday () -. start in
+    if elapsed < float_of_int seconds then begin
+      while !sent - !received < in_flight && Buffer.length pending < 65536 do
+        Buffer.add_string pending lines.(!sent mod Array.length lines);
+        incr sent
+      done;
+      let want_write = if Buffer.length pending > 0 then [ fd ] else [] in
+      let readable, writable, _ = Unix.select [ fd ] want_write [] 0.05 in
+      if writable <> [] then begin
+        let out = Buffer.contents pending in
+        match Unix.write_substring fd out 0 (String.length out) with
+        | n ->
+            Buffer.clear pending;
+            Buffer.add_substring pending out n (String.length out - n)
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+      end;
+      if readable <> [] then begin
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | n ->
+            let second = min (seconds - 1) (int_of_float (Unix.gettimeofday () -. start)) in
+            for i = 0 to n - 1 do
+              match Bytes.get chunk i with
+              | '\n' ->
+                  incr received;
+                  per_second.(second) <- per_second.(second) + 1;
+                  if not (String.starts_with ~prefix:"OK" (Buffer.contents line)) then incr bad;
+                  Buffer.clear line
+              | c -> Buffer.add_char line c
+            done
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+      end;
+      pump ()
+    end
+  in
+  pump ();
+  let counts = String.concat "/" (Array.to_list (Array.map string_of_int per_second)) in
+  check
+    (Printf.sprintf "G: replies complete in every second of the flood (%s per second)" counts)
+    (Array.for_all (fun n -> n > 0) per_second);
+  check (Printf.sprintf "G: every reply is OK (%d not)" !bad) (!bad = 0);
+  (match List.map vmrss_kb (router :: workers) with
+  | rss when List.mem None rss -> check "G: RSS bounded under the flood (skipped: no /proc)" true
+  | rss ->
+      let kb = List.fold_left (fun acc r -> acc + Option.value ~default:0 r) 0 rss in
+      check (Printf.sprintf "G: summed RSS bounded under the flood (%d KB < 512 MB)" kb)
+        (kb < 512 * 1024));
+  close_quiet fd;
+  expect_ok sock "G: PING answers after the flood" "PING";
+  Unix.kill router Sys.sigterm;
+  check "G: the router exits after the flood" (wait_exit_within ~timeout:30.0 router <> None)
+
 let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   at_exit kill_all;
@@ -1044,6 +1233,7 @@ let () =
   phase_d glqld dir;
   phase_e glqld dir;
   phase_f glqld dir;
+  phase_g glqld dir;
   Array.iter
     (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     (Sys.readdir dir);

@@ -227,6 +227,28 @@ let () =
     (json_int_field stats "graphs_registered" = Some 5);
   check "STATS carries per-member detail" (contains ~needle:"\"members\":[" stats);
   check "STATS carries the router section" (contains ~needle:"\"role\":\"router\"" stats);
+  (* Heap gauges: the workers' sum at the top level, the router's own in
+     its section. *)
+  let router_section =
+    let tag = "\"router\":{" in
+    let tl = String.length tag and n = String.length stats in
+    let rec find i =
+      if i + tl > n then "" else if String.sub stats i tl = tag then String.sub stats i (n - i)
+      else find (i + 1)
+    in
+    find 0
+  in
+  List.iter
+    (fun field ->
+      check
+        (Printf.sprintf "STATS sums the workers' %s" field)
+        (json_int_field stats field <> None);
+      check
+        (Printf.sprintf "STATS reports the router's own %s" field)
+        (json_int_field router_section field <> None))
+    [ "gc_heap_words"; "gc_top_heap_words"; "gc_minor_collections"; "gc_major_collections" ];
+  check "the workers' heap is not empty"
+    (match json_int_field stats "gc_heap_words" with Some v -> v > 0 | None -> false);
 
   (* Placement: find the victim (shard of "a") and a survivor graph on a
      different shard. ROUTE is the router's own placement oracle. *)

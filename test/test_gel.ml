@@ -89,6 +89,26 @@ let test_type_errors () =
        false
      with Expr.Type_error _ -> true)
 
+(* [dim] and [free_vars] keep nothing once they return: parsing one
+   source again and again, and analysing each result, leaves the live
+   heap where it was. A process-wide memo keyed on nodes would retain
+   every parse (about 0.9 M words here). *)
+let test_analyses_retain_nothing () =
+  let src = "agg_sum{x1,x2,x3}(product(E(x1,x2), product(E(x2,x3), E(x3,x1))) | [1])" in
+  let parse_and_analyse () =
+    for _ = 1 to 5000 do
+      let e = Glql_gel.Parser.parse src in
+      ignore (Sys.opaque_identity (Expr.dim e, Expr.free_vars e))
+    done
+  in
+  parse_and_analyse ();
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  parse_and_analyse ();
+  Gc.full_major ();
+  let grown = (Gc.stat ()).Gc.live_words - before in
+  if grown >= 10_000 then Alcotest.failf "live heap grew by %d words over 5000 parses" grown
+
 let test_n_nodes_shared () =
   let shared = B.degree ~x:B.x1 ~y:B.x2 in
   let e = B.add shared shared in
@@ -447,6 +467,7 @@ let suite =
       case "agg empty bag" test_agg_empty_bag;
       case "static analysis" test_static_analysis;
       case "type errors" test_type_errors;
+      case "analyses retain nothing" test_analyses_retain_nothing;
       case "dag node count" test_n_nodes_shared;
       case "to_string" test_to_string;
       case "eval degree" test_eval_degree;

@@ -559,6 +559,71 @@ let test_featurize_deterministic =
       in
       par = seq && gpar = gseq)
 
+(* --- GEL analyses across domains ------------------------------------------- *)
+
+module Expr = Glql_gel.Expr
+module Parser = Glql_gel.Parser
+
+(* A random GEL source over x1..x3 with x1 free, and its dimension (add
+   and product need equal argument dimensions). *)
+let random_gel_source rng =
+  let var i = Printf.sprintf "x%d" i in
+  let rec go depth x =
+    let others = List.filter (fun v -> v <> x) [ 1; 2; 3 ] in
+    let other () = List.nth others (Rng.int rng 2) in
+    if depth = 0 then
+      match Rng.int rng 4 with
+      | 0 -> (Printf.sprintf "lab%d(%s)" (Rng.int rng 2) (var x), 1)
+      | 1 -> (Printf.sprintf "[%d; %d]" (Rng.int rng 5) (Rng.int rng 5), 2)
+      | 2 -> (Printf.sprintf "1[%s!=%s]" (var x) (var (other ())), 1)
+      | _ -> (Printf.sprintf "E(%s,%s)" (var x) (var (other ())), 1)
+    else
+      match Rng.int rng 6 with
+      | 0 ->
+          let a, d = go (depth - 1) x in
+          (Printf.sprintf "relu(scale(-0.5)(%s))" a, d)
+      | 1 ->
+          let (a, da), (b, db) = (go (depth - 1) x, go (depth - 1) x) in
+          if da = db then
+            (Printf.sprintf "%s(%s, %s)" (if Rng.int rng 2 = 0 then "add" else "product") a b, da)
+          else (Printf.sprintf "concat(%s, %s)" a b, da + db)
+      | 2 | 3 ->
+          let y = other () in
+          let a, d = go (depth - 1) y in
+          let agg = List.nth [ "sum"; "mean"; "max" ] (Rng.int rng 3) in
+          (Printf.sprintf "agg_%s{%s}(%s | E(%s,%s))" agg (var y) a (var x) (var y), d)
+      | 4 ->
+          (* An unguarded aggregation over every vertex. *)
+          let y = other () in
+          let a, d = go (depth - 1) y in
+          (Printf.sprintf "concat(lab0(%s), agg_sum{%s}(%s | [1]))" (var x) (var y) a, d + 1)
+      | _ -> go (depth - 1) x
+  in
+  fst (go (1 + Rng.int rng 3) 1)
+
+(* The pool's domains (four under GLQL_DOMAINS=4) parse, analyse and
+   evaluate parser-built expressions at the same time: every result
+   matches a sequential run bit for bit. *)
+let test_gel_concurrent_analyses =
+  qtest ~count:10 "gel: concurrent parse/dim/free_vars/eval == sequential" seed_arb (fun seed ->
+      let rng = Rng.create seed in
+      let g =
+        Glql_graph.Graph.with_one_hot_labels (random_graph seed ~n:6 ~p:0.4)
+          (Array.init 6 (fun _ -> Rng.int rng 2))
+          ~n_colors:2
+      in
+      let sources = Array.init 64 (fun _ -> random_gel_source rng) in
+      let analyse src =
+        let e = Parser.parse src in
+        (Expr.dim e, Expr.free_vars e, (Expr.eval g e).Expr.tdata)
+      in
+      let par = Pool.parallel_map_array analyse sources in
+      let seq = Pool.sequential (fun () -> Array.map analyse sources) in
+      Array.for_all2
+        (fun (d, fv, t) (d', fv', t') ->
+          d = d' && fv = fv' && Array.for_all2 float_array_eq t t')
+        par seq)
+
 let () =
   Alcotest.run "glql-parallel"
     [
@@ -601,4 +666,5 @@ let () =
           case "graph regressor deterministic" test_erm_regressor_deterministic;
         ] );
       ("featurize", [ test_featurize_deterministic ]);
+      ("gel", [ test_gel_concurrent_analyses ]);
     ]

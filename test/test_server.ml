@@ -432,7 +432,11 @@ let test_handle_line_errors () =
   (* STATS reports the requests recorded before it, i.e. the six above. *)
   check_bool "stats counts requests" true (contains ~needle:"\"requests\":6" stats);
   check_bool "stats counts errors" true (contains ~needle:"\"errors\":6" stats);
-  check_bool "stats exposes the plan cache" true (contains ~needle:"\"plan_misses\"" stats)
+  check_bool "stats exposes the plan cache" true (contains ~needle:"\"plan_misses\"" stats);
+  List.iter
+    (fun field ->
+      check_bool ("stats reports " ^ field) true (contains ~needle:("\"" ^ field ^ "\":") stats))
+    [ "gc_heap_words"; "gc_top_heap_words"; "gc_minor_collections"; "gc_major_collections" ]
 
 (* Extract the float right after ["<key>":] in a one-line JSON reply. *)
 let float_after key s =
@@ -552,6 +556,68 @@ let test_metrics_ring_wrap () =
     (Float.abs (p50 -. (float_of_int w /. 1e6)) < 1e-9);
   check_bool "p99 after wrap lands in the overwritten half" true
     (Float.abs (p99 -. 1000.0) < 1e-9)
+
+(* The nearest-rank rule the STATS percentiles promise, by sorting: the
+   value of rank ceil(p/100 * n) among the last [window] values of the
+   stream, in milliseconds. *)
+let reference_percentile_ms ~window stream p =
+  let n = Array.length stream in
+  let filled = min n window in
+  if filled = 0 then Float.nan
+  else begin
+    let recent = Array.sub stream (n - filled) filled in
+    Array.sort compare recent;
+    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int filled)) in
+    float_of_int recent.(max 0 (min (filled - 1) (rank - 1))) /. 1e6
+  end
+
+let same_ms a b = Float.equal a b || (Float.is_nan a && Float.is_nan b)
+
+(* A latency stream of 0 to 3 windows of values drawn from [0, spread);
+   small spreads make it heavy in duplicates. *)
+let stream_arb ~window =
+  QCheck.make
+    ~print:(fun (seed, n, spread) -> Printf.sprintf "stream(seed=%d,n=%d,spread=%d)" seed n spread)
+    QCheck.Gen.(triple (int_bound 1_000_000) (int_range 0 (3 * window)) (int_range 1 1_000_000))
+
+let stream_of (seed, n, spread) =
+  let rng = Glql_util.Rng.create seed in
+  Array.init n (fun _ -> Glql_util.Rng.int rng spread)
+
+let prop_percentiles_match_sorting =
+  let window = Glql_server.Metrics.window in
+  qtest ~count:12 "metrics: percentile_ms = sort-based nearest rank" (stream_arb ~window)
+    (fun input ->
+      let stream = stream_of input in
+      let m = Glql_server.Metrics.create () in
+      Array.iter
+        (fun ns -> Glql_server.Metrics.record m ~command:"X" ~ok:true ~latency_ns:(Int64.of_int ns))
+        stream;
+      List.for_all
+        (fun p ->
+          same_ms (Glql_server.Metrics.percentile_ms m p) (reference_percentile_ms ~window stream p))
+        [ 0.0; 1.0; 50.0; 99.0; 100.0 ])
+
+let prop_stage_percentiles_match_sorting =
+  let window = Glql_server.Metrics.stage_window in
+  qtest ~count:25 "metrics: STATS stage p50/p99 = sort-based nearest rank" (stream_arb ~window)
+    (fun input ->
+      let stream = stream_of input in
+      let m = Glql_server.Metrics.create () in
+      Array.iter (fun ns -> Glql_server.Metrics.record_stage m ~stage:"s" ~dur_ns:ns) stream;
+      let json = P.json_to_string (Glql_server.Metrics.to_json m ~extra:[]) in
+      let ms key =
+        match Result.map (Glql_util.Json.member "stages") (Glql_util.Json.parse json) with
+        | Ok (Some stages) -> (
+            match Option.bind (Glql_util.Json.member "s" stages) (Glql_util.Json.member key) with
+            | Some (P.Float f) -> f
+            | Some (P.Int i) -> float_of_int i
+            | _ -> Float.nan)
+        | _ -> Alcotest.fail "STATS JSON does not parse"
+      in
+      Array.length stream = 0
+      || same_ms (ms "p50_ms") (reference_percentile_ms ~window stream 50.0)
+         && same_ms (ms "p99_ms") (reference_percentile_ms ~window stream 99.0))
 
 (* --- persistence ---------------------------------------------------------- *)
 
@@ -1494,6 +1560,8 @@ let suite =
       case "handle_line: TRACE option" test_handle_line_trace_option;
       case "protocol version reporting" test_protocol_version_reporting;
       case "metrics ring wrap percentiles" test_metrics_ring_wrap;
+      prop_percentiles_match_sorting;
+      prop_stage_percentiles_match_sorting;
       case "persistence: SAVE/RESTORE round trip" test_save_restore_roundtrip;
       case "persistence: malformed snapshot leaves state" test_restore_malformed_leaves_state;
       case "persistence: reload after restore stays fresh" test_restore_then_reload_stays_fresh;

@@ -272,6 +272,41 @@ let test_int_sort_copy () =
   check_bool "sorted" true (sorted = [| 1; 3; 3; 5; 9 |]);
   check_bool "input preserved" true (a = [| 5; 3; 9; 3; 1 |])
 
+let prop_int_select_matches =
+  qtest ~count:200 "int_sort select = sorted_copy.(k)"
+    QCheck.(pair (list_of_size Gen.(0 -- 2000) (int_range (-50) 50)) small_nat)
+    (fun (xs, k) ->
+      let a = Array.of_list xs in
+      let n = Array.length a in
+      n = 0
+      ||
+      let sorted = Glql_util.Int_sort.sorted_copy a in
+      let k = k mod n in
+      (* Selections may follow one another on the same array. *)
+      Glql_util.Int_sort.select a k = sorted.(k)
+      && Glql_util.Int_sort.select a (n - 1 - k) = sorted.(n - 1 - k))
+
+let test_int_select_shapes () =
+  let n = 5000 in
+  List.iter
+    (fun (name, f) ->
+      let sorted = Glql_util.Int_sort.sorted_copy (Array.init n f) in
+      List.iter
+        (fun k ->
+          check_int (Printf.sprintf "%s rank %d" name k) sorted.(k)
+            (Glql_util.Int_sort.select (Array.init n f) k))
+        [ 0; 1; n / 2; (99 * n / 100) - 1; n - 1 ])
+    [
+      ("ascending", Fun.id);
+      ("descending", fun i -> n - i);
+      ("constant", fun _ -> 7);
+      ("organ pipe", fun i -> min i (n - i));
+      ("sawtooth", fun i -> i mod 17);
+    ];
+  Alcotest.check_raises "rank out of bounds"
+    (Invalid_argument "Int_sort.select: rank out of bounds") (fun () ->
+      ignore (Glql_util.Int_sort.select [| 1; 2 |] 2))
+
 (* --- Stable_hash: pinned vectors and placement properties ---------------- *)
 
 let test_stable_hash_vectors () =
@@ -359,6 +394,8 @@ let suite =
       case "clock cooperative check" test_clock_check;
       prop_int_sort_matches;
       case "int_sort sorted_copy" test_int_sort_copy;
+      prop_int_select_matches;
+      case "int_sort select on shaped inputs" test_int_select_shapes;
       case "stable hash pinned vectors" test_stable_hash_vectors;
       prop_stable_hash_shard;
       case "json parse roundtrip" json_roundtrip_cases;
