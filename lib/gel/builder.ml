@@ -28,27 +28,37 @@ let const1 c = Expr.Const [| c |]
 
 let apply f args = Expr.Apply (f, args)
 
-let concat exprs = Expr.Apply (Func.concat (List.map Expr.dim exprs), exprs)
+(* The dimension of [e]'s root node alone, in O(1). The smart
+   constructors below read only this, so building a depth-L expression
+   costs O(L); a malformed argument is still rejected by [Expr.dim] or
+   [Expr.eval] when the result is used. *)
+let root_dim = function
+  | Expr.Lab _ | Expr.Edge _ | Expr.Cmp _ -> 1
+  | Expr.Const v -> Vec.dim v
+  | Expr.Apply (f, _) -> f.Func.out_dim
+  | Expr.Agg (th, _, _, _) -> th.Agg.out_dim
 
-let relu e = Expr.Apply (Func.activation Activation.Relu (Expr.dim e), [ e ])
+let concat exprs = Expr.Apply (Func.concat (List.map root_dim exprs), exprs)
 
-let sigmoid e = Expr.Apply (Func.activation Activation.Sigmoid (Expr.dim e), [ e ])
+let relu e = Expr.Apply (Func.activation Activation.Relu (root_dim e), [ e ])
 
-let trunc_relu e = Expr.Apply (Func.activation Activation.Trunc_relu (Expr.dim e), [ e ])
+let sigmoid e = Expr.Apply (Func.activation Activation.Sigmoid (root_dim e), [ e ])
+
+let trunc_relu e = Expr.Apply (Func.activation Activation.Trunc_relu (root_dim e), [ e ])
 
 let linear w b e = Expr.Apply (Func.linear w b, [ e ])
 
 let mul a b =
-  let d = Expr.dim a in
-  if Expr.dim b <> d then invalid_arg "Builder.mul: dim mismatch";
+  let d = root_dim a in
+  if root_dim b <> d then invalid_arg "Builder.mul: dim mismatch";
   Expr.Apply (Func.product d, [ a; b ])
 
 let add a b =
-  let d = Expr.dim a in
-  if Expr.dim b <> d then invalid_arg "Builder.add: dim mismatch";
+  let d = root_dim a in
+  if root_dim b <> d then invalid_arg "Builder.add: dim mismatch";
   Expr.Apply (Func.add d, [ a; b ])
 
-let scale c e = Expr.Apply (Func.scale c (Expr.dim e), [ e ])
+let scale c e = Expr.Apply (Func.scale c (root_dim e), [ e ])
 
 (* Neighbourhood aggregation guarded by the edge relation (slide 45):
    aggregate [value] over [y] ranging over the neighbours of [x]. *)
@@ -60,13 +70,13 @@ let agg_global th ~x value = Expr.Agg (th, [ x ], value, const1 1.0)
 (* Unguarded aggregation over several variables (full GEL, slide 61). *)
 let agg_all th ~ys value = Expr.Agg (th, ys, value, const1 1.0)
 
-let sum_neighbors ~x ~y value = agg_neighbors (Agg.sum (Expr.dim value)) ~x ~y value
+let sum_neighbors ~x ~y value = agg_neighbors (Agg.sum (root_dim value)) ~x ~y value
 
-let mean_neighbors ~x ~y value = agg_neighbors (Agg.mean (Expr.dim value)) ~x ~y value
+let mean_neighbors ~x ~y value = agg_neighbors (Agg.mean (root_dim value)) ~x ~y value
 
-let max_neighbors ~x ~y value = agg_neighbors (Agg.max (Expr.dim value)) ~x ~y value
+let max_neighbors ~x ~y value = agg_neighbors (Agg.max (root_dim value)) ~x ~y value
 
-let readout_sum ~x value = agg_global (Agg.sum (Expr.dim value)) ~x value
+let readout_sum ~x value = agg_global (Agg.sum (root_dim value)) ~x value
 
 (* --- standard expressions ---------------------------------------------- *)
 

@@ -23,6 +23,12 @@ val const : Vec.t -> Expr.t
 val const1 : float -> Expr.t
 val apply : Func.t -> Expr.t list -> Expr.t
 
+(** Dimension of the root node alone, in O(1): the constructors below
+    read only this, so they do not validate their arguments' subtrees.
+    {!Expr.dim} and {!Expr.eval} reject a malformed expression when it is
+    used. *)
+val root_dim : Expr.t -> int
+
 (** Concatenate expressions (dims inferred). *)
 val concat : Expr.t list -> Expr.t
 

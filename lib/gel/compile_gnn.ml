@@ -52,7 +52,7 @@ let gnn101_vertex_expr spec =
     (* Both orientations are built so that the roles of x1/x2 swap at each
        nesting level, staying inside the two-variable fragment. *)
     let step ~self ~other ~sv ~ov =
-      let summed = B.agg_neighbors (Agg.sum (Expr.dim other)) ~x:sv ~y:ov other in
+      let summed = B.agg_neighbors (Agg.sum (B.root_dim other)) ~x:sv ~y:ov other in
       Expr.Apply
         ( Func.activation l.act (Vec.dim l.b),
           [ Expr.Apply (Func.linear_multi [ l.w1; l.w2 ] l.b, [ self; summed ]) ] )
@@ -122,7 +122,7 @@ let gin_vertex_expr spec =
   let x = B.x1 and y = B.x2 in
   let layer_expr (prev_x, prev_y) (l : gin_layer) =
     let step ~self ~other ~sv ~ov =
-      let d = Expr.dim self in
+      let d = B.root_dim self in
       let summed = B.agg_neighbors (Agg.sum d) ~x:sv ~y:ov other in
       let combined = B.add (B.scale (1.0 +. l.eps) self) summed in
       Expr.Apply (Func.mlp l.mlp, [ combined ])
@@ -166,7 +166,7 @@ let gcn_vertex_expr spec =
   let x = B.x1 and y = B.x2 in
   let layer_expr (prev_x, prev_y) (l : gcn_layer) =
     let step ~self ~other ~sv ~ov =
-      let d = Expr.dim self in
+      let d = B.root_dim self in
       let c v vo = Expr.Apply (inv_sqrt1p, [ B.degree ~x:v ~y:vo ]) in
       (* message from each neighbour: h(y) * c(y) *)
       let msg = Expr.Apply (Func.scale_by d, [ other; c ov sv ]) in
@@ -224,7 +224,7 @@ let sage_vertex_expr spec =
   let x = B.x1 and y = B.x2 in
   let layer_expr (prev_x, prev_y) (l : sage_layer) =
     let step ~self ~other ~sv ~ov =
-      let d = Expr.dim self in
+      let d = B.root_dim self in
       let agged = B.agg_neighbors (sage_aggregator spec.sage_agg d) ~x:sv ~y:ov other in
       Expr.Apply
         ( Func.activation l.sact (Vec.dim l.sb),

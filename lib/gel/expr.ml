@@ -156,7 +156,7 @@ let dim e = dim_memoized () e
 
 (* Maximum nesting depth of aggregations — the number of message-passing
    rounds an MPNN expression performs. *)
-let agg_depth e =
+let agg_depth_memoized () =
   let memo = Memo.create 64 in
   let rec go e =
     match Memo.find_opt memo e with
@@ -171,7 +171,9 @@ let agg_depth e =
         Memo.add memo e d;
         d
   in
-  go e
+  go
+
+let agg_depth e = agg_depth_memoized () e
 
 (* Count of expression DAG nodes (shared nodes counted once). *)
 let n_nodes e =

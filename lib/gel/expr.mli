@@ -10,7 +10,8 @@
     Nothing is memoised across calls: each call to {!dim} or
     {!free_vars} walks the whole DAG, and no expression is retained once
     the call returns. A pass that needs more holds a
-    {!free_vars_memoized} or {!dim_memoized} function for its duration. *)
+    {!free_vars_memoized}, {!dim_memoized} or {!agg_depth_memoized}
+    function for its duration. *)
 
 module Vec = Glql_tensor.Vec
 module Graph = Glql_graph.Graph
@@ -53,6 +54,9 @@ val dim_memoized : unit -> t -> int
 
 (** Maximum aggregation nesting depth (message-passing rounds). *)
 val agg_depth : t -> int
+
+(** [agg_depth] with a held memo table, as for {!dim_memoized}. *)
+val agg_depth_memoized : unit -> t -> int
 
 (** Number of distinct DAG nodes. *)
 val n_nodes : t -> int

@@ -24,8 +24,9 @@
       aggregated feature vector. The final expression value is a function
       of the last feature vector.
 
-   The result evaluates layer-by-layer like a GNN (fast path) and can be
-   exported back as a bona-fide normal-form expression. *)
+   The result evaluates round by round like a GNN, in place over CSR
+   (fast path), and can be exported back as a bona-fide normal-form
+   expression. *)
 
 module Vec = Glql_tensor.Vec
 module Graph = Glql_graph.Graph
@@ -140,14 +141,21 @@ let separate e =
 
 (* --- step 2: layering ---------------------------------------------------- *)
 
-type slot = { msg_off : int; res_off : int; sdim : int; message : Expr.t }
+(* An aggregation's two regions of the feature row: its message
+   ([msg_off], [sdim] wide) and its neighbourhood sum ([res_off]). *)
+type slot = { msg_off : int; res_off : int; sdim : int }
 
+(* Round t of the schedule: the slots of the depth-t aggregations, each
+   with its message compiled against the feature row. *)
+type round = { slots : slot array; messages : (Vec.t -> Vec.t) array }
+
+(* Immutable once built: pool domains evaluate one cached plan at once, so
+   [eval] keeps its rows local to the call. *)
 type t = {
   d0 : int;
   feature_dim : int;
-  n_rounds : int;          (* aggregation depth L; the net has 2L layers *)
-  layers : Func.t list;
-  output : Func.t;
+  schedule : round array;  (* round t at index t-1; the net has 2L layers *)
+  output : Vec.t -> Vec.t;
   normal_expr : Expr.t;    (* the expression in normal-form shape *)
   separated : Expr.t;
 }
@@ -170,6 +178,42 @@ let collect_aggs e =
   in
   go e;
   !out
+
+(* Compile a separated single-variable expression into a function of the
+   vertex's own feature row. Every [Agg] node is already resolved to its
+   result slot, so evaluation does no lookups. *)
+let compile slots e =
+  let memo = Memo.create 64 in
+  let rec go e =
+    match Memo.find_opt memo e with
+    | Some c -> c
+    | None ->
+        let c =
+          match e with
+          | Expr.Const v -> fun _ -> v
+          | Expr.Lab (j, _) -> fun (f : Vec.t) -> [| f.(j) |]
+          | Expr.Cmp (Expr.Ceq, a, b) when a = b -> fun _ -> [| 1.0 |]
+          | Expr.Cmp (Expr.Cneq, a, b) when a = b -> fun _ -> [| 0.0 |]
+          | Expr.Apply (fn, args) ->
+              let cs = List.map go args in
+              fun f -> fn.Func.apply (List.map (fun c -> c f) cs)
+          | Expr.Agg _ ->
+              let s = Memo.find slots e in
+              fun f -> Array.sub f s.res_off s.sdim
+          | _ -> assert false
+        in
+        Memo.add memo e c;
+        c
+  in
+  go e
+
+(* Write round [r]'s messages into [row]. Messages read only label and
+   result slots, never message slots, so writing in place is safe. *)
+let write_messages r (row : Vec.t) =
+  for i = 0 to Array.length r.slots - 1 do
+    let s = r.slots.(i) in
+    Array.blit (r.messages.(i) row) 0 row s.msg_off s.sdim
+  done
 
 let of_vertex_expr_untraced e =
   (match Expr.free_vars e with
@@ -196,9 +240,8 @@ let of_vertex_expr_untraced e =
     go sep;
     max 1 !m
   in
-  let aggs = collect_aggs sep in
-  (* Ignore the deg-guard constant aggregations?  No: all are genuine sum
-     aggregations; each gets slots.  Assign offsets. *)
+  (* Every aggregation is a genuine sum aggregation and gets a message and
+     a result slot, laid out after the labels. *)
   let slots = Memo.create 16 in
   let dim = Expr.dim_memoized () in
   let next = ref d0 in
@@ -208,70 +251,54 @@ let of_vertex_expr_untraced e =
         match a with
         | Expr.Agg (_, _, value, _) ->
             let sdim = dim value in
-            let s = { msg_off = !next; res_off = !next + sdim; sdim; message = value } in
+            let s = { msg_off = !next; res_off = !next + sdim; sdim } in
             next := !next + (2 * sdim);
             Memo.add slots a s;
-            Some (a, s)
+            Some (a, s, value)
         | _ -> None)
-      aggs
+      (collect_aggs sep)
   in
   let feature_dim = !next in
-  let n_rounds = Expr.agg_depth sep in
-  (* Interpreter of a separated single-variable expression against a
-     feature vector of the vertex itself. *)
-  let rec interp e (f : Vec.t) : Vec.t =
-    match e with
-    | Expr.Const v -> v
-    | Expr.Lab (j, _) -> [| f.(j) |]
-    | Expr.Cmp (Expr.Ceq, a, b) when a = b -> [| 1.0 |]
-    | Expr.Cmp (Expr.Cneq, a, b) when a = b -> [| 0.0 |]
-    | Expr.Apply (fn, args) -> fn.Func.apply (List.map (fun a -> interp a f) args)
-    | Expr.Agg _ ->
-        let s = Memo.find slots e in
-        Array.sub f s.res_off s.sdim
-    | _ -> assert false
+  let compile = compile slots in
+  let depth = Expr.agg_depth_memoized () in
+  let schedule =
+    Array.init (depth sep) (fun i ->
+        let here = List.filter (fun (a, _, _) -> depth a = i + 1) slot_list in
+        {
+          slots = Array.of_list (List.map (fun (_, s, _) -> s) here);
+          messages = Array.of_list (List.map (fun (_, _, value) -> compile value) here);
+        })
   in
-  (* Layers: for round t, a message layer then a collect layer. *)
-  let depth_of = Memo.create 16 in
-  List.iter (fun (a, _) -> Memo.add depth_of a (Expr.agg_depth a)) slot_list;
-  let make_message_layer t =
+  let output = compile sep in
+  (* The same rounds as Func layers, for the exported expression only. *)
+  let message_layer t r =
     Func.custom ~name:(Printf.sprintf "nf-msg-%d" t) ~in_dims:[ feature_dim; feature_dim ]
       ~out_dim:feature_dim (fun args ->
         match args with
         | [ self; _nbsum ] ->
             let out = Vec.copy self in
-            List.iter
-              (fun (a, s) ->
-                if Memo.find depth_of a = t then begin
-                  let m = interp s.message self in
-                  Array.blit m 0 out s.msg_off s.sdim
-                end)
-              slot_list;
+            write_messages r out;
             out
         | _ -> assert false)
   in
-  let make_collect_layer t =
+  let collect_layer t r =
     Func.custom ~name:(Printf.sprintf "nf-col-%d" t) ~in_dims:[ feature_dim; feature_dim ]
       ~out_dim:feature_dim (fun args ->
         match args with
         | [ self; nbsum ] ->
             let out = Vec.copy self in
-            List.iter
-              (fun (a, s) ->
-                if Memo.find depth_of a = t then
-                  Array.blit (Array.sub nbsum s.msg_off s.sdim) 0 out s.res_off s.sdim)
-              slot_list;
+            Array.iter (fun s -> Array.blit nbsum s.msg_off out s.res_off s.sdim) r.slots;
             out
         | _ -> assert false)
   in
   let layers =
-    List.concat_map (fun t -> [ make_message_layer t; make_collect_layer t ])
-      (List.init n_rounds (fun i -> i + 1))
+    List.concat
+      (List.mapi (fun i r -> [ message_layer (i + 1) r; collect_layer (i + 1) r ])
+         (Array.to_list schedule))
   in
-  let out_dim = dim sep in
-  let output =
-    Func.custom ~name:"nf-out" ~in_dims:[ feature_dim ] ~out_dim (fun args ->
-        match args with [ f ] -> interp sep f | _ -> assert false)
+  let output_layer =
+    Func.custom ~name:"nf-out" ~in_dims:[ feature_dim ] ~out_dim:(dim sep) (fun args ->
+        match args with [ f ] -> output f | _ -> assert false)
   in
   (* Normal-form expression: embed labels, then alternate layers. *)
   let x = Builder.x1 and y = Builder.x2 in
@@ -297,44 +324,55 @@ let of_vertex_expr_untraced e =
           ( step ~self:prev_x ~other:prev_y ~sv:x ~ov:y,
             step ~self:prev_y ~other:prev_x ~sv:y ~ov:x )
   in
-  let normal_expr = Expr.Apply (output, [ stack layers (init x, init y) ]) in
-  { d0; feature_dim; n_rounds; layers; output; normal_expr; separated = sep }
+  let normal_expr = Expr.Apply (output_layer, [ stack layers (init x, init y) ]) in
+  { d0; feature_dim; schedule; output; normal_expr; separated = sep }
 
 let of_vertex_expr e = Trace.with_span "layer" (fun () -> of_vertex_expr_untraced e)
 
 let to_expr nf = nf.normal_expr
 
-let n_rounds nf = nf.n_rounds
+let n_rounds nf = Array.length nf.schedule
 
 let separated nf = nf.separated
 
-let n_layers nf = List.length nf.layers
+let n_layers nf = 2 * n_rounds nf
 
 let feature_dim nf = nf.feature_dim
 
-(* Fast layered evaluation: one row per vertex. *)
+(* Layered evaluation over one feature row per vertex, updated in place.
+   Round t first writes every vertex's depth-t messages, then sums them
+   over the CSR rows into the depth-t result slots. Each sum starts from
+   0.0 and adds the neighbours in adjacency order: the same additions in
+   the same order as a full-width [Vec.add_inplace] neighbour sum, so the
+   result is bit-identical to evaluating [to_expr]. *)
 let eval_untraced nf g =
   let n = Graph.n_vertices g in
-  let feat =
+  let rows =
     Array.init n (fun v ->
         let f = Vec.zeros nf.feature_dim in
         let l = Graph.label g v in
         Array.blit l 0 f 0 (min (Vec.dim l) nf.d0);
         f)
   in
-  let current = ref feat in
-  List.iter
-    (fun layer ->
-      let prev = !current in
-      let nbsum =
-        Array.init n (fun v ->
-            let acc = Vec.zeros nf.feature_dim in
-            Array.iter (fun u -> Vec.add_inplace ~into:acc prev.(u)) (Graph.neighbors g v);
-            acc)
-      in
-      current := Array.init n (fun v -> layer.Func.apply [ prev.(v); nbsum.(v) ]))
-    nf.layers;
-  Array.map (fun f -> nf.output.Func.apply [ f ]) !current
+  let { Graph.Csr.offsets; adjacency; _ } = Graph.csr g in
+  Array.iter
+    (fun r ->
+      Array.iter (write_messages r) rows;
+      for v = 0 to n - 1 do
+        (* Result slots are still 0.0 here: only round t writes them. *)
+        let row = rows.(v) in
+        for k = offsets.(v) to offsets.(v + 1) - 1 do
+          let nb = rows.(adjacency.(k)) in
+          for i = 0 to Array.length r.slots - 1 do
+            let { msg_off; res_off; sdim } = r.slots.(i) in
+            for c = 0 to sdim - 1 do
+              row.(res_off + c) <- row.(res_off + c) +. nb.(msg_off + c)
+            done
+          done
+        done
+      done)
+    nf.schedule;
+  Array.map nf.output rows
 
 let eval nf g = Trace.with_span "execute.layered" (fun () -> eval_untraced nf g)
 

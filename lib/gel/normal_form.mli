@@ -37,7 +37,11 @@ val separated : t -> Expr.t
 (** Width of the layered feature vector. *)
 val feature_dim : t -> int
 
-(** Fast layered evaluation, one output vector per vertex. *)
+(** Layered evaluation, one output vector per vertex. Runs the plan's
+    per-round schedule over one feature row per vertex, updated in place:
+    each round writes its messages, then sums them over the CSR
+    neighbour rows. Bit-identical to [Expr.eval_vertexwise g (to_expr
+    nf)]. Safe to call from several domains on one plan. *)
 val eval : t -> Graph.t -> Vec.t array
 
 (** Max |original - normalised| over all vertices of [g]. *)

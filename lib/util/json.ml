@@ -25,17 +25,23 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The C primitive behind Printf's %.17g, without the format
+   interpreter around it. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
       (* nan AND ±inf map to null: JSON has no non-finite tokens, and
-         %.17g would print the invalid literal "inf". *)
+         %.17g would print the invalid literal "inf". Integers below
+         1e15 print as %.0f would ("-0" included), the rest as %.17g. *)
       if not (Float.is_finite f) then Buffer.add_string buf "null"
       else if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.0f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.17g" f)
+        Buffer.add_string buf
+          (if f = 0.0 && Float.sign_bit f then "-0" else string_of_int (int_of_float f))
+      else Buffer.add_string buf (format_float "%.17g" f)
   | Str s -> escape_to buf s
   | List items ->
       Buffer.add_char buf '[';

@@ -89,6 +89,23 @@ let test_type_errors () =
        false
      with Expr.Type_error _ -> true)
 
+(* The builder reads only root dimensions, so it accepts a malformed
+   argument; using the result rejects it. Its own dim checks remain. *)
+let test_builder_defers_validation () =
+  let bad = Expr.Apply (Func.product 2, [ B.const1 1.0; B.const [| 1.0; 2.0 |] ]) in
+  let built = B.sum_neighbors ~x:B.x1 ~y:B.x2 (B.relu (B.scale 2.0 bad)) in
+  check_int "root dim read without validation" 2 (B.root_dim built);
+  let raises f = try ignore (f ()); false with Expr.Type_error _ -> true in
+  check_bool "Expr.dim rejects it" true (raises (fun () -> Expr.dim built));
+  check_bool "Expr.eval rejects it" true
+    (raises (fun () -> Expr.eval (Generators.path 3) built));
+  check_bool "mul still checks dims" true
+    (try ignore (B.mul (B.const1 1.0) (B.const [| 1.0; 2.0 |])); false
+     with Invalid_argument _ -> true);
+  check_bool "add still checks dims" true
+    (try ignore (B.add (B.const1 1.0) (B.const [| 1.0; 2.0 |])); false
+     with Invalid_argument _ -> true)
+
 (* [dim] and [free_vars] keep nothing once they return: parsing one
    source again and again, and analysing each result, leaves the live
    heap where it was. A process-wide memo keyed on nodes would retain
@@ -467,6 +484,7 @@ let suite =
       case "agg empty bag" test_agg_empty_bag;
       case "static analysis" test_static_analysis;
       case "type errors" test_type_errors;
+      case "builder defers validation to use" test_builder_defers_validation;
       case "analyses retain nothing" test_analyses_retain_nothing;
       case "dag node count" test_n_nodes_shared;
       case "to_string" test_to_string;

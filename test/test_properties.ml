@@ -147,6 +147,40 @@ let prop_normal_form_on_random_exprs =
              function kinds, so separation must always succeed. *)
           false)
 
+(* The layered evaluator against [Expr.eval] of the exported normal-form
+   expression, bit for bit: the in-place rounds must perform the same
+   float operations in the same order as the full-width layers. Graphs
+   carry random real labels and up to two extra isolated vertices, from
+   n = 1 up. *)
+let prop_normal_form_eval_bit_exact =
+  let arb =
+    QCheck.make
+      ~print:(fun ((seed, depth), (n, density, isolated)) ->
+        Printf.sprintf "expr(seed=%d,depth=%d) graph(n=%d,density=%d%%,isolated=%d)" seed depth n
+          density isolated)
+      QCheck.Gen.(
+        pair
+          (pair (int_bound 1_000_000) (int_range 1 4))
+          (triple (int_range 1 8) (int_range 0 100) (int_range 0 2)))
+  in
+  qtest ~count:200 "layered eval = eval of the normal form, bit for bit" arb
+    (fun ((seed, depth), (n, density, isolated)) ->
+      let e = random_mpnn_expr (Rng.create seed) ~label_dim:2 ~depth in
+      let nf = Normal_form.of_vertex_expr e in
+      let rng = Rng.create (seed + 3) in
+      let g0 = graph_of (seed + 1, n, density) in
+      let g =
+        Graph.create ~n:(n + isolated) ~edges:(Graph.edges g0)
+          ~labels:
+            (Array.init (n + isolated) (fun _ ->
+                 Vec.init 2 (fun _ -> Rng.uniform rng ~lo:(-2.0) ~hi:2.0)))
+      in
+      let bits v = Array.map Int64.bits_of_float v in
+      let layered = Normal_form.eval nf g in
+      let reference = Expr.eval_vertexwise g (Normal_form.to_expr nf) in
+      Array.length layered = Array.length reference
+      && Array.for_all2 (fun a b -> bits a = bits b) layered reference)
+
 let prop_random_exprs_invariant =
   qtest ~count:20 "random expressions are invariant" expr_arb (fun (seed, depth) ->
       let e = random_mpnn_expr (Rng.create seed) ~label_dim:2 ~depth in
@@ -184,6 +218,7 @@ let suite =
       prop_random_exprs_are_guarded;
       prop_optimizer_on_random_exprs;
       prop_normal_form_on_random_exprs;
+      prop_normal_form_eval_bit_exact;
       prop_random_exprs_invariant;
       prop_path_homs_equal_under_cr;
     ] )

@@ -357,6 +357,54 @@ let test_handle_line_flow () =
   check_bool "both replies identical" true
     (contains ~needle:("\"values\":" ^ expected) reply2)
 
+(* Layered QUERY replies pinned byte for byte: the MD5 digest of each
+   reply, recorded from the full-width layer-by-layer evaluator that the
+   in-place schedule replaced. The shapes are the four MPNN shapes of the
+   service benchmark plus one with non-integer sums (0.1 is inexact in
+   binary, so a different addition order would change the last bits).
+   Only IEEE-exact operations, so the digests hold on any libm. *)
+let test_layered_reply_digests () =
+  let t = make_server () in
+  let shapes =
+    [
+      "agg_sum{x2}([1] | E(x1,x2))";
+      "agg_sum{x2}(agg_sum{x1}([1] | E(x2,x1)) | E(x1,x2))";
+      "agg_sum{x2}(relu(agg_sum{x1}([1] | E(x2,x1))) | E(x1,x2))";
+      "relu(agg_sum{x2}([2] | E(x1,x2)))";
+      "scale(0.7)(agg_sum{x2}(scale(0.1)(agg_sum{x1}([1] | E(x2,x1))) | E(x1,x2)))";
+    ]
+  in
+  let pinned =
+    [
+      ( "grid100x100",
+        [
+          "20203269084e4dd929ada2f13e59b50e";
+          "00b9b05f666eee0e747b2aece925fb45";
+          "00b9b05f666eee0e747b2aece925fb45";
+          "c10394e5dff1ad394b5179fce579e662";
+          "cf74db9642382d79d0e1855a1fe4a6fa";
+        ] );
+      ( "circulant5000c1c2c5c11",
+        [
+          "6bf69de38b7ec5a7cf14e12c87a6f8f7";
+          "d4102cb8d122b3f41d0b7da672c0af34";
+          "d4102cb8d122b3f41d0b7da672c0af34";
+          "400d2b5c58ba729daa841f9a9315eac5";
+          "7959307cf4f38dd69d84fa72db6d2ff4";
+        ] );
+    ]
+  in
+  List.iter
+    (fun (g, digests) ->
+      check_bool ("load " ^ g) true (P.is_ok (Server.handle_line t (Printf.sprintf "LOAD %s %s" g g)));
+      List.iter2
+        (fun src digest ->
+          let reply = Server.handle_line t (Printf.sprintf "QUERY %s '%s'" g src) in
+          check_bool (g ^ " layered plan") true (contains ~needle:"\"plan\":\"layered\"" reply);
+          Alcotest.(check string) (g ^ " " ^ src) digest (Digest.to_hex (Digest.string reply)))
+        shapes digests)
+    pinned
+
 let test_handle_line_wl_cache () =
   let t = make_server () in
   let first = Server.handle_line t "WL petersen" in
@@ -1552,6 +1600,7 @@ let suite =
       case "registry mutate batches" test_registry_mutate;
       case "registry canonical spec whitespace" test_registry_canonical_spec;
       case "handle_line: query flow and plan cache" test_handle_line_flow;
+      case "handle_line: layered replies pinned by digest" test_layered_reply_digests;
       case "handle_line: coloring cache" test_handle_line_wl_cache;
       case "handle_line: reload serves fresh coloring" test_reload_serves_fresh_coloring;
       case "handle_line: cell guard overflow" test_cell_guard_overflow;

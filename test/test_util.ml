@@ -363,6 +363,45 @@ let prop_json_int_roundtrip =
       | Ok (Glql_util.Json.Int j) -> i = j
       | _ -> false)
 
+(* The float rule of the JSON printer, as it was written with Printf: the
+   printer must render every finite float byte-identically to it. *)
+let printf_float_rule f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%.17g" f
+
+let json_float f = Glql_util.Json.to_string (Glql_util.Json.Float f)
+
+let json_float_edges =
+  [
+    0.0; -0.0; 1e15 -. 1.0; -.(1e15 -. 1.0); 1e15; -1e15; 0x1p53 -. 1.0; 0x1p53 +. 1.0;
+    -.(0x1p53 +. 1.0); 5e-324; -5e-324; max_float; -.max_float; Float.nan; Float.infinity;
+    Float.neg_infinity; 0.1; 1.5; -2.5; 1e300;
+  ]
+
+let test_json_float_edges () =
+  List.iter
+    (fun f -> Alcotest.(check string) (Printf.sprintf "%h" f) (printf_float_rule f) (json_float f))
+    json_float_edges
+
+(* Random bit patterns cover both signs, subnormals and every exponent;
+   random integers cover the integer branch and its 1e15 threshold. *)
+let prop_json_float_matches_printf =
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map Int64.float_of_bits int64);
+          (2, map float_of_int int);
+          (2, map float_of_int (int_range (-1_000_000) 1_000_000));
+          (1, map (fun d -> 1e15 +. float_of_int d) (int_range (-1000) 1000));
+          (1, oneofl json_float_edges);
+        ])
+  in
+  qtest ~count:120_000 "json float = Printf rule"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f -> json_float f = printf_float_rule f)
+
 let suite =
   ( "util",
     [
@@ -400,4 +439,6 @@ let suite =
       prop_stable_hash_shard;
       case "json parse roundtrip" json_roundtrip_cases;
       prop_json_int_roundtrip;
+      case "json float edge cases" test_json_float_edges;
+      prop_json_float_matches_printf;
     ] )
