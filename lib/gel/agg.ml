@@ -5,8 +5,14 @@
 
 module Vec = Glql_tensor.Vec
 
+(* Which aggregate [apply] computes. [Expr.eval] folds the built-in ones
+   as it enumerates, with the same float operations as their [apply],
+   and recognises them by this tag, never by name. *)
+type kind = Sum | Mean | Max | Min | Count | Custom
+
 type t = {
   name : string;
+  kind : kind;
   in_dim : int;
   out_dim : int;
   apply : Vec.t list -> Vec.t;
@@ -26,6 +32,7 @@ let apply t bag =
 let sum d =
   {
     name = "sum";
+    kind = Sum;
     in_dim = d;
     out_dim = d;
     apply =
@@ -38,6 +45,7 @@ let sum d =
 let mean d =
   {
     name = "mean";
+    kind = Mean;
     in_dim = d;
     out_dim = d;
     apply =
@@ -53,6 +61,7 @@ let mean d =
 let max d =
   {
     name = "max";
+    kind = Max;
     in_dim = d;
     out_dim = d;
     apply =
@@ -65,6 +74,7 @@ let max d =
 let min d =
   {
     name = "min";
+    kind = Min;
     in_dim = d;
     out_dim = d;
     apply =
@@ -78,9 +88,10 @@ let min d =
 let count d =
   {
     name = "count";
+    kind = Count;
     in_dim = d;
     out_dim = 1;
     apply = (fun bag -> [| float_of_int (List.length bag) |]);
   }
 
-let custom ~name ~in_dim ~out_dim f = { name; in_dim; out_dim; apply = f }
+let custom ~name ~in_dim ~out_dim f = { name; kind = Custom; in_dim; out_dim; apply = f }

@@ -4,8 +4,15 @@
 
 module Vec = Glql_tensor.Vec
 
-type t = {
+(** Which aggregate [apply] computes: a built-in one, or [Custom]. The
+    evaluator folds the built-in ones as it enumerates and recognises them
+    by this tag, not by [name]. [t] is private so that only the
+    constructors below set it. *)
+type kind = Sum | Mean | Max | Min | Count | Custom
+
+type t = private {
   name : string;
+  kind : kind;
   in_dim : int;
   out_dim : int;
   apply : Vec.t list -> Vec.t;
@@ -22,4 +29,5 @@ val min : int -> t
 (** Bag cardinality (output dim 1). *)
 val count : int -> t
 
+(** An aggregate of kind [Custom]: the evaluator hands it the whole bag. *)
 val custom : name:string -> in_dim:int -> out_dim:int -> (Vec.t list -> Vec.t) -> t

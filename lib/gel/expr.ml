@@ -3,10 +3,11 @@
 
    Expressions denote p-vertex embeddings xi_phi : G -> (V^p -> R^d) where
    p is the number of free variables and d the expression's dimension.
-   Evaluation is database-style: every subexpression is materialised
-   bottom-up as a table V^p -> R^d (the "calculus with aggregates" reading
-   of slide 47), with a fast path for edge-guarded aggregation that walks
-   adjacency lists only.
+   Evaluation is database-style (the "calculus with aggregates" reading
+   of slide 47): an expression denotes a table V^p -> R^d, and each
+   aggregation is a join over its variables whose edge atoms drive the
+   enumeration through sorted CSR rows. Only the tables that are needed
+   are materialised, as flat float arrays; see [eval].
 
    Expressions produced by the compilers are DAGs (layers share their
    predecessor), so every analysis and the evaluator memoise on physical
@@ -253,6 +254,9 @@ let rec to_string e =
 
 (* --- evaluation --------------------------------------------------------- *)
 
+module Clock = Glql_util.Clock
+module Csr = Graph.Csr
+
 type table = {
   tvars : var list;  (* sorted ascending *)
   tn : int;          (* number of graph vertices *)
@@ -260,35 +264,121 @@ type table = {
   tdata : Vec.t array;  (* length tn^|tvars|, row-major in tvars order *)
 }
 
-let table_size n vars =
-  List.fold_left (fun acc _ -> acc * n) 1 vars
-
 let table_index t (env : int array) =
   List.fold_left (fun acc v -> (acc * t.tn) + env.(v)) 0 t.tvars
 
 let table_get t env = t.tdata.(table_index t env)
 
-let nonzero v = Array.exists (fun x -> x <> 0.0) v
+(* The evaluator's own tables: one flat [float array], [dim] floats per
+   row, rows row-major over the sorted variables [vars]. Only the root's
+   is boxed into a public [table]. *)
+type flat = { vars : var array; dim : int; data : float array }
 
-(* Enumerate assignments of [vars] into [env], calling [k] on each. *)
-let rec enumerate n vars env k =
-  match vars with
-  | [] -> k ()
-  | v :: rest ->
-      for w = 0 to n - 1 do
-        env.(v) <- w;
-        enumerate n rest env k
-      done
+(* The checks an atom or product passes when it is fused into a join
+   rather than materialised. *)
+let check_atom = function
+  | Edge (x, y) | Cmp (_, x, y) ->
+      check_var x;
+      check_var y
+  | _ -> ()
 
-(* Each node's dimension and free variables come from the tables of its
-   children (a table's [tvars] are its expression's free variables), and
-   each node is checked against the rules of [dim] and [free_vars] as it
-   is reached, so the DAG is walked once. *)
-let eval g e =
+(* A test on the assignment built so far, run as soon as its last
+   variable is bound. *)
+type filter =
+  | F_edge of var * var
+  | F_eq of var * var
+  | F_neq of var * var
+  | F_never
+  | F_guard of flat  (* a materialised guard: its row must be nonzero *)
+
+(* Evaluation is a bottom-up walk of the DAG that materialises a flat
+   table only where one is needed: at the root, for each aggregation, and
+   for the arguments of [Apply] and the guards and values that are not
+   indicators. Each node is checked against the rules of [dim] and
+   [free_vars] as it is reached, so the DAG is walked once.
+
+   An aggregation [agg{ys}(v | guard)] is a join over its variables. Its
+   free variables are bound first, in sorted order, then [ys] in declared
+   order. A guard built only from [Edge]/[Cmp] atoms and 1-dimensional
+   [product]s of them (an indicator) is never materialised: its atoms
+   are the filters of the join, and an edge atom whose other end is
+   already bound makes a variable range over that vertex's sorted CSR
+   row instead of over all vertices. The same holds for the value of a
+   [sum] that is an indicator: its terms are 0 or 1, so leaving out the
+   zero terms changes no bit. Any other guard is a table that filters
+   the join where its row is zero; any other value is a table read at
+   each admitted assignment.
+
+   Candidate rows are sorted, so the admitted assignments are visited in
+   the lexicographic order of a full enumeration, and the built-in
+   aggregates fold their terms in the same order and with the same float
+   operations as their [Agg.apply]. Results are bit-identical to
+   materialising every subexpression over all n^|vars| assignments. *)
+let eval ?(deadline = None) g e =
   let n = Graph.n_vertices g in
-  let memo = Memo.create 64 in
+  let csr = Graph.csr g in
+  let offsets = csr.Csr.offsets and adjacency = csr.Csr.adjacency in
   let max_var = List.fold_left max 0 (all_vars e) in
   let env = Array.make (max_var + 2) 0 in
+  let steps = ref 0 in
+  let tick () =
+    incr steps;
+    if !steps land 4095 = 0 then Clock.check deadline
+  in
+  let rec power k = if k = 0 then 1 else n * power (k - 1) in
+  (* Row index of the current assignment in a table over [vars]. *)
+  let index vars =
+    let r = ref 0 in
+    for i = 0 to Array.length vars - 1 do
+      r := (!r * n) + env.(vars.(i))
+    done;
+    !r
+  in
+  let row t = index t.vars in
+  (* Call [f] on every assignment of [vars] in lexicographic order, with
+     the row index of that assignment. *)
+  let each vars f =
+    let k = Array.length vars in
+    let rec go i r =
+      if i = k then begin
+        tick ();
+        f r
+      end
+      else
+        for w = 0 to n - 1 do
+          env.(vars.(i)) <- w;
+          go (i + 1) ((r * n) + w)
+        done
+    in
+    go 0 0
+  in
+  let blit_result name want v out off =
+    if Vec.dim v <> want then failwith (Printf.sprintf "%s: produced dim %d, declared %d" name (Vec.dim v) want);
+    Array.blit v 0 out off want
+  in
+  (* The atoms of an indicator, or [None] for any other shape. *)
+  let indicators = Memo.create 16 in
+  let rec indicator e =
+    match Memo.find_opt indicators e with
+    | Some a -> a
+    | None ->
+        let a =
+          match e with
+          | Edge _ | Cmp _ ->
+              check_atom e;
+              Some [ e ]
+          | Apply (({ Func.kind = Func.K_product; in_dims = [ 1; 1 ]; _ } as f), [ a; b ]) -> (
+              match (indicator a, indicator b) with
+              | Some la, Some lb ->
+                  check_apply f [ 1; 1 ];
+                  Some (List.sort_uniq compare (la @ lb))
+              | _ -> None)
+          | _ -> None
+        in
+        Memo.add indicators e a;
+        a
+  in
+  let memo = Memo.create 64 in
   let rec go e =
     match Memo.find_opt memo e with
     | Some t -> t
@@ -298,91 +388,213 @@ let eval g e =
         t
   and compute e =
     match e with
-    | Const v -> { tvars = []; tn = n; tdim = Vec.dim v; tdata = [| v |] }
+    | Const v -> { vars = [||]; dim = Vec.dim v; data = v }
     | Lab (j, x) ->
         check_var x;
         let data =
           Array.init n (fun v ->
+              tick ();
               let l = Graph.label g v in
               if j < 0 || j >= Vec.dim l then
                 type_error "lab%d: graph has label dimension %d" j (Vec.dim l);
-              [| l.(j) |])
+              l.(j))
         in
-        { tvars = [ x ]; tn = n; tdim = 1; tdata = data }
+        { vars = [| x |]; dim = 1; data }
     | Edge (x, y) ->
-        check_var x;
-        check_var y;
+        check_atom e;
         if x = y then
           (* E(x, x) is false on simple graphs. *)
-          { tvars = [ x ]; tn = n; tdim = 1; tdata = Array.init n (fun _ -> [| 0.0 |]) }
+          { vars = [| x |]; dim = 1; data = Array.make n 0.0 }
         else begin
-          let fv = List.sort compare [ x; y ] in
-          let t = { tvars = fv; tn = n; tdim = 1; tdata = Array.make (table_size n fv) [||] } in
-          enumerate n fv env (fun () ->
-              t.tdata.(table_index t env) <-
-                [| (if Graph.has_edge g env.(x) env.(y) then 1.0 else 0.0) |]);
-          t
+          let data = Array.make (n * n) 0.0 in
+          for u = 0 to n - 1 do
+            for j = offsets.(u) to offsets.(u + 1) - 1 do
+              tick ();
+              data.((u * n) + adjacency.(j)) <- 1.0
+            done
+          done;
+          { vars = [| min x y; max x y |]; dim = 1; data }
         end
     | Cmp (op, x, y) ->
-        check_var x;
-        check_var y;
-        if x = y then begin
-          let v = match op with Ceq -> 1.0 | Cneq -> 0.0 in
-          { tvars = [ x ]; tn = n; tdim = 1; tdata = Array.init n (fun _ -> [| v |]) }
-        end
+        check_atom e;
+        let eq = op = Ceq in
+        if x = y then { vars = [| x |]; dim = 1; data = Array.make n (if eq then 1.0 else 0.0) }
         else begin
-          let fv = List.sort compare [ x; y ] in
-          let t = { tvars = fv; tn = n; tdim = 1; tdata = Array.make (table_size n fv) [||] } in
-          enumerate n fv env (fun () ->
-              let same = env.(x) = env.(y) in
-              let b = match op with Ceq -> same | Cneq -> not same in
-              t.tdata.(table_index t env) <- [| (if b then 1.0 else 0.0) |]);
-          t
+          let vars = [| min x y; max x y |] in
+          let data = Array.make (n * n) 0.0 in
+          each vars (fun r -> if env.(x) = env.(y) = eq then data.(r) <- 1.0);
+          { vars; dim = 1; data }
         end
     | Apply (f, args) ->
-        let arg_tables = List.map go args in
-        check_apply f (List.map (fun at -> at.tdim) arg_tables);
-        let fv = List.fold_left (fun acc at -> sorted_union acc at.tvars) [] arg_tables in
-        let t = { tvars = fv; tn = n; tdim = f.Func.out_dim; tdata = Array.make (table_size n fv) [||] } in
-        enumerate n fv env (fun () ->
-            let inputs = List.map (fun at -> table_get at env) arg_tables in
-            t.tdata.(table_index t env) <- f.Func.apply inputs);
-        t
+        let ts = List.map go args in
+        check_apply f (List.map (fun t -> t.dim) ts);
+        let vars =
+          Array.of_list (List.fold_left (fun acc t -> sorted_union acc (Array.to_list t.vars)) [] ts)
+        in
+        let d = f.Func.out_dim in
+        let data = Array.make (power (Array.length vars) * d) 0.0 in
+        let what = "Func." ^ f.Func.name in
+        each vars (fun r ->
+            let inputs = List.map (fun t -> Array.sub t.data (row t * t.dim) t.dim) ts in
+            blit_result what d (f.Func.apply inputs) data (r * d));
+        { vars; dim = d; data }
     | Agg (th, ys, value, guard) ->
         check_binder ys;
-        let vt = go value and gt = go guard in
-        check_agg th vt.tdim;
-        let fv = agg_free ys (sorted_union vt.tvars gt.tvars) in
-        let t = { tvars = fv; tn = n; tdim = th.Agg.out_dim; tdata = Array.make (table_size n fv) [||] } in
-        (* Fast path: single bound variable guarded by an adjacency atom
-           with a free other endpoint — iterate neighbours only. *)
-        let fast =
-          match (ys, guard) with
-          | [ y ], Edge (a, b) when a <> b && (a = y || b = y) ->
-              let other = if a = y then b else a in
-              if List.mem other fv then Some (y, other) else None
-          | _ -> None
-        in
-        (match fast with
-        | Some (y, other) ->
-            enumerate n fv env (fun () ->
-                let bag = ref [] in
-                Array.iter
-                  (fun w ->
-                    env.(y) <- w;
-                    bag := table_get vt env :: !bag)
-                  (Graph.neighbors g env.(other));
-                t.tdata.(table_index t env) <- th.Agg.apply (List.rev !bag));
-            t
-        | None ->
-            enumerate n fv env (fun () ->
-                let bag = ref [] in
-                enumerate n ys env (fun () ->
-                    if nonzero (table_get gt env) then bag := table_get vt env :: !bag);
-                t.tdata.(table_index t env) <- th.Agg.apply (List.rev !bag));
-            t)
+        let value_atoms = if th.Agg.kind = Agg.Sum then indicator value else None in
+        let vt = if value_atoms = None then Some (go value) else None in
+        let guard_atoms = indicator guard in
+        let gt = if guard_atoms = None then Some (go guard) else None in
+        check_agg th (match vt with Some t -> t.dim | None -> 1);
+        join th ys vt gt (Option.value value_atoms ~default:[] @ Option.value guard_atoms ~default:[])
+  (* [agg{ys}] over a value table [vt] (or the constant 1 where the
+     value's atoms are among [atoms]), filtered by [atoms] and the guard
+     table [gt]. *)
+  and join th ys vt gt atoms =
+    let table_vars = function Some t -> Array.to_list t.vars | None -> [] in
+    let atom_vars = function Edge (x, y) | Cmp (_, x, y) -> [ x; y ] | _ -> [] in
+    let inner = List.sort_uniq compare (List.concat_map atom_vars atoms @ table_vars vt @ table_vars gt) in
+    let free = Array.of_list (agg_free ys inner) in
+    let order = Array.append free (Array.of_list ys) in
+    let k = Array.length order and nfree = Array.length free in
+    let pos = Array.make (max_var + 2) (-1) in
+    Array.iteri (fun i v -> pos.(v) <- i) order;
+    (* Level [i + 1] holds the filters to run once [order.(i)] is bound;
+       level 0 those of no variable. [drive.(i)] is the bound partner
+       whose neighbour row [order.(i)] ranges over, or -1. *)
+    let filters = Array.make (k + 1) [] in
+    let drive = Array.make k (-1) in
+    let add level f = filters.(level + 1) <- f :: filters.(level + 1) in
+    List.iter
+      (fun a ->
+        match a with
+        | Edge (x, y) when x = y -> add (-1) F_never
+        | Cmp (op, x, y) when x = y -> if op = Cneq then add (-1) F_never
+        | Edge (x, y) ->
+            let late, early = if pos.(x) > pos.(y) then (x, y) else (y, x) in
+            if drive.(pos.(late)) < 0 then drive.(pos.(late)) <- early
+            else add pos.(late) (F_edge (x, y))
+        | Cmp (op, x, y) ->
+            add (max pos.(x) pos.(y)) (if op = Ceq then F_eq (x, y) else F_neq (x, y))
+        | _ -> ())
+      atoms;
+    Option.iter (fun t -> add (Array.fold_left (fun l v -> max l pos.(v)) (-1) t.vars) (F_guard t)) gt;
+    let filters = Array.map (fun fs -> Array.of_list (List.rev fs)) filters in
+    let holds = function
+      | F_edge (x, y) -> Csr.has_edge csr env.(x) env.(y)
+      | F_eq (x, y) -> env.(x) = env.(y)
+      | F_neq (x, y) -> env.(x) <> env.(y)
+      | F_never -> false
+      | F_guard t ->
+          let r = row t * t.dim in
+          let c = ref 0 in
+          while !c < t.dim && t.data.(r + !c) = 0.0 do
+            incr c
+          done;
+          !c < t.dim
+    in
+    (* A loop, not [Array.for_all], which allocates a closure per call. *)
+    let pass fs =
+      let j = ref 0 in
+      while !j < Array.length fs && holds fs.(!j) do
+        incr j
+      done;
+      !j = Array.length fs
+    in
+    (* The fold: [base] is the output row of the current free assignment,
+       [count] the number of terms folded into it. The value of a fused
+       indicator is the constant 1. *)
+    let od = th.Agg.out_dim in
+    let what = "Agg." ^ th.Agg.name in
+    let cells = power nfree in
+    let out = Array.make (cells * od) 0.0 in
+    let vdata, vdim = match vt with Some t -> (t.data, t.dim) | None -> ([| 1.0 |], 1) in
+    let vrow = match vt with Some t -> fun () -> row t * t.dim | None -> fun () -> 0 in
+    let base = ref 0 and count = ref 0 and bag = ref [] in
+    let visited = if th.Agg.kind = Agg.Custom then Bytes.make cells '\000' else Bytes.empty in
+    let term =
+      match th.Agg.kind with
+      | Agg.Sum | Agg.Mean ->
+          fun () ->
+            let r = vrow () and b = !base in
+            for c = 0 to od - 1 do
+              out.(b + c) <- out.(b + c) +. vdata.(r + c)
+            done;
+            incr count
+      | Agg.Max | Agg.Min ->
+          let pick = if th.Agg.kind = Agg.Max then Float.max else Float.min in
+          fun () ->
+            let r = vrow () and b = !base in
+            if !count = 0 then Array.blit vdata r out b od
+            else
+              for c = 0 to od - 1 do
+                out.(b + c) <- pick out.(b + c) vdata.(r + c)
+              done;
+            incr count
+      | Agg.Count -> fun () -> incr count
+      | Agg.Custom -> fun () -> bag := Array.sub vdata (vrow ()) vdim :: !bag
+    in
+    let finish cell =
+      match th.Agg.kind with
+      | Agg.Sum | Agg.Max | Agg.Min -> ()
+      | Agg.Mean ->
+          if !count > 0 then begin
+            let s = 1.0 /. float_of_int !count in
+            for c = 0 to od - 1 do
+              out.(!base + c) <- s *. out.(!base + c)
+            done
+          end
+      | Agg.Count -> out.(!base) <- float_of_int !count
+      | Agg.Custom ->
+          blit_result what od (th.Agg.apply (List.rev !bag)) out !base;
+          Bytes.set visited cell '\001'
+    in
+    let rec walk i =
+      if i = k then term ()
+      else if i = nfree then begin
+        (* All free variables are bound: fold one output row. *)
+        let cell = index free in
+        base := cell * od;
+        count := 0;
+        bag := [];
+        range i;
+        finish cell
+      end
+      else range i
+    and range i =
+      let v = order.(i) and fs = filters.(i + 1) in
+      match drive.(i) with
+      | -1 ->
+          for w = 0 to n - 1 do
+            visit v fs i w
+          done
+      | p ->
+          let u = env.(p) in
+          for j = offsets.(u) to offsets.(u + 1) - 1 do
+            visit v fs i adjacency.(j)
+          done
+    and visit v fs i w =
+      env.(v) <- w;
+      tick ();
+      if pass fs then walk (i + 1)
+    in
+    if pass filters.(0) then walk 0;
+    (* Free assignments the join never reached hold the empty bag's
+       aggregate: zero for the built-in ones. *)
+    if th.Agg.kind = Agg.Custom && Bytes.contains visited '\000' then begin
+      let empty = th.Agg.apply [] in
+      Bytes.iteri
+        (fun cell seen -> if seen = '\000' then blit_result what od empty out (cell * od))
+        visited
+    end;
+    { vars = free; dim = od; data = out }
   in
-  go e
+  let t = go e in
+  {
+    tvars = Array.to_list t.vars;
+    tn = n;
+    tdim = t.dim;
+    tdata = Array.init (power (Array.length t.vars)) (fun r -> Array.sub t.data (r * t.dim) t.dim);
+  }
 
 (* Value on a p-tuple of vertices, components in sorted free-variable
    order. *)
@@ -396,16 +608,16 @@ let eval_tuple g e tuple =
   table_get t env
 
 (* Value of a closed expression (graph embedding, slide 46). *)
-let eval_closed g e =
+let eval_closed ?deadline g e =
   match free_vars e with
-  | [] -> (eval g e).tdata.(0)
+  | [] -> (eval ?deadline g e).tdata.(0)
   | fv ->
       invalid_arg
         (Printf.sprintf "Expr.eval_closed: expression has free variables [%s]"
            (String.concat ";" (List.map string_of_int fv)))
 
 (* Per-vertex values of a 1-free-variable expression. *)
-let eval_vertexwise g e =
+let eval_vertexwise ?deadline g e =
   match free_vars e with
-  | [ _ ] -> Array.map Vec.copy (eval g e).tdata
+  | [ _ ] -> (eval ?deadline g e).tdata
   | _ -> invalid_arg "Expr.eval_vertexwise: expression must have exactly one free variable"

@@ -3,10 +3,12 @@
 
     An expression with [p] free variables and dimension [d] denotes an
     invariant p-vertex embedding [xi : G -> (V^p -> R^d)]. Evaluation is
-    database-style bottom-up materialisation of one table per
-    subexpression. Expressions may share subterms (DAGs); every analysis
-    and the evaluator memoise on physical identity within one call, so
-    shared structure built with [let] bindings is visited once per call.
+    database-style, a calculus with aggregates (slide 47): each
+    aggregation is a join over its variables, driven by the edge atoms of
+    its guard through the graph's sorted CSR rows (see {!eval}).
+    Expressions may share subterms (DAGs); every analysis and the
+    evaluator memoise on physical identity within one call, so shared
+    structure built with [let] bindings is visited once per call.
     Nothing is memoised across calls: each call to {!dim} or
     {!free_vars} walks the whole DAG, and no expression is retained once
     the call returns. A pass that needs more holds a
@@ -73,7 +75,9 @@ val fragment_name : fragment -> string
 
 val to_string : t -> string
 
-(** Materialised table of a (sub)expression: values over V^p. *)
+(** The value of an expression over V^p, row-major in sorted free-variable
+    order. Only the root's table is built in this form; the evaluator
+    keeps its intermediate tables flat. *)
 type table = {
   tvars : var list;
   tn : int;
@@ -86,14 +90,26 @@ val table_index : table -> int array -> int
 
 val table_get : table -> int array -> Vec.t
 
-(** Evaluate on a graph, materialising the table over its free variables. *)
-val eval : Graph.t -> t -> table
+(** Evaluate on a graph, materialising the table over its free variables.
+
+    An aggregation whose guard (or, for [sum], whose value) is built only
+    from [Edge]/[Cmp] atoms and 1-dimensional [product]s of them is not
+    materialised: its atoms drive the enumeration, and an edge atom to an
+    already bound variable restricts a variable to that vertex's sorted
+    neighbour row. The built-in aggregates fold as they enumerate,
+    {!Agg.custom} ones receive the whole bag. Results are bit-identical
+    to materialising every subexpression over all assignments.
+
+    [deadline] ({!Glql_util.Clock} monotonic deadline) is checked once
+    every 4,096 enumeration steps and raises
+    {!Glql_util.Clock.Deadline_exceeded} once it has passed. *)
+val eval : ?deadline:int64 option -> Graph.t -> t -> table
 
 (** Value on a p-tuple (components in sorted free-variable order). *)
 val eval_tuple : Graph.t -> t -> int array -> Vec.t
 
 (** Value of a closed expression — a graph embedding (slide 46). *)
-val eval_closed : Graph.t -> t -> Vec.t
+val eval_closed : ?deadline:int64 option -> Graph.t -> t -> Vec.t
 
 (** Per-vertex values of a single-free-variable expression. *)
-val eval_vertexwise : Graph.t -> t -> Vec.t array
+val eval_vertexwise : ?deadline:int64 option -> Graph.t -> t -> Vec.t array

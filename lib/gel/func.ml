@@ -165,9 +165,10 @@ let scalar2 name f =
     apply = (function [ a; b ] -> [| f a.(0) b.(0) |] | _ -> assert false);
   }
 
-(* Custom function with explicit signature. *)
-let custom ?(kind = K_opaque) ~name ~in_dims ~out_dim f =
-  { name; in_dims; out_dim; kind; apply = f }
+(* Custom function with explicit signature. Always [K_opaque]: a
+   combinator tag must describe its [apply], since the normal-form
+   rewriter and the evaluator act on the tag. *)
+let custom ~name ~in_dims ~out_dim f = { name; in_dims; out_dim; kind = K_opaque; apply = f }
 
 (* (vector, scalar) |-> scalar * vector; used when pushing a sum through a
    value that does not depend on the aggregated variable (slide 55). *)

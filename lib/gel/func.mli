@@ -22,7 +22,8 @@ type kind =
   | K_proj of int
   | K_opaque
 
-type t = {
+(** Private, so that only the constructors below set [kind]. *)
+type t = private {
   name : string;
   in_dims : int list;
   out_dim : int;
@@ -60,8 +61,8 @@ val scalar : string -> (float -> float) -> t
 (** Lift a binary scalar function. *)
 val scalar2 : string -> (float -> float -> float) -> t
 
-val custom :
-  ?kind:kind -> name:string -> in_dims:int list -> out_dim:int -> (Vec.t list -> Vec.t) -> t
+(** A function of kind [K_opaque] with an explicit signature. *)
+val custom : name:string -> in_dims:int list -> out_dim:int -> (Vec.t list -> Vec.t) -> t
 
 (** [(v, s) |-> s * v] — scalar rescaling of a d-dimensional vector. *)
 val scale_by : int -> t

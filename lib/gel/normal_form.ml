@@ -36,7 +36,7 @@ exception Unsupported of string
 
 let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
-let is_sum (th : Agg.t) = th.Agg.name = "sum"
+let is_sum (th : Agg.t) = th.Agg.kind = Agg.Sum
 
 module Memo = Hashtbl.Make (struct
   type t = Expr.t

@@ -211,14 +211,12 @@ let build_column ~cache ~graph_name ~gen ~deadline ~check_cells mode g col =
             match (mode, Expr.free_vars plan.Cache.expr) with
             | P.Fm_vertex, [ _ ] ->
                 let* () = check_cells (Expr.dim plan.Cache.expr) in
-                (* Layered fast path when the plan has one (single
-                   propagation passes instead of the naive per-vertex
-                   table evaluator — the difference between ms and
-                   minutes on a million-edge graph). *)
+                (* The layered plan when there is one, as in the
+                   QUERY handler: one propagation pass per round. *)
                 let vals =
                   match plan.Cache.layered with
                   | Some nf -> Glql_gel.Normal_form.eval nf g
-                  | None -> Expr.eval_vertexwise g plan.Cache.expr
+                  | None -> Expr.eval_vertexwise ~deadline g plan.Cache.expr
                 in
                 Ok (Expr.dim plan.Cache.expr, vals)
             | P.Fm_vertex, vars ->
@@ -226,7 +224,7 @@ let build_column ~cache ~graph_name ~gen ~deadline ~check_cells mode g col =
                   (List.length vars)
             | P.Fm_graph, [] ->
                 let* () = check_cells (Expr.dim plan.Cache.expr) in
-                Ok (Expr.dim plan.Cache.expr, [| Expr.eval_closed g plan.Cache.expr |])
+                Ok (Expr.dim plan.Cache.expr, [| Expr.eval_closed ~deadline g plan.Cache.expr |])
             | P.Fm_graph, vars ->
                 bad "gel: graph mode needs a closed expression, got %d free variables"
                   (List.length vars)))

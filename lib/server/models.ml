@@ -111,7 +111,7 @@ let ( let* ) r f = Result.bind r f
 (* Per-row training targets from the TARGET expression, evaluated through
    the plan cache like any query. Vertex mode wants one value per vertex
    (one free variable), graph mode one value per graph (closed). *)
-let target_values ~cache mode g src =
+let target_values ~cache ~deadline mode g src =
   match Cache.plan cache src with
   | Error e -> fail "ERR_QUERY" "TARGET: %s" e
   | Ok (plan, _) -> (
@@ -127,16 +127,15 @@ let target_values ~cache mode g src =
       in
       match (mode, Glql_gel.Expr.free_vars expr) with
       | P.Fm_vertex, [ _ ] ->
-          (* Layered fast path when available, like the QUERY handler:
-             propagation passes instead of the per-vertex table
-             evaluator, which is minutes on a million-edge graph. *)
+          (* The layered plan when there is one, as in the QUERY
+             handler: one propagation pass per round. *)
           let rows =
             match plan.Cache.layered with
             | Some nf -> Glql_gel.Normal_form.eval nf g
-            | None -> Glql_gel.Expr.eval_vertexwise g expr
+            | None -> Glql_gel.Expr.eval_vertexwise ~deadline g expr
           in
           Ok (Array.map (fun v -> v.(0)) rows)
-      | P.Fm_graph, [] -> Ok [| (Glql_gel.Expr.eval_closed g expr).(0) |]
+      | P.Fm_graph, [] -> Ok [| (Glql_gel.Expr.eval_closed ~deadline g expr).(0) |]
       | _, vars ->
           fail "ERR_QUERY" "TARGET: expected %s, got %d free variables"
             (match mode with P.Fm_vertex -> "one free variable" | P.Fm_graph -> "a closed expression")
@@ -186,7 +185,7 @@ let train ~registry ~cache ~models ?(deadline = None) ?(max_cells = 0) (spec : P
           Result.map_error (fun m -> ("ERR_UNKNOWN_GRAPH", m)) (Registry.find_entry registry name)
         in
         let* built = Featurize.build ~cache ~graph_name:name ~gen ~deadline ~max_cells mode g cols in
-        let* targets = target_values ~cache mode g spec.t_target in
+        let* targets = target_values ~cache ~deadline mode g spec.t_target in
         if Array.length targets <> Array.length built.Featurize.b_rows then
           fail "ERR_INTERNAL" "TARGET produced %d values for %d rows" (Array.length targets)
             (Array.length built.Featurize.b_rows)

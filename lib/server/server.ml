@@ -197,7 +197,7 @@ let query_result t deadline graph_name src =
           Trace.with_span "materialize" (fun () ->
               P.List (Array.to_list (Array.map vec_json rows))) )
     | None ->
-        let table = Trace.with_span "execute" (fun () -> Expr.eval g plan.Cache.expr) in
+        let table = Trace.with_span "execute" (fun () -> Expr.eval ~deadline g plan.Cache.expr) in
         ( "direct",
           Trace.with_span "materialize" (fun () ->
               match table.Expr.tvars with

@@ -53,9 +53,9 @@ let test_cfi_k4_ground_truth () =
 
 (* --- evaluator paths ----------------------------------------------------------- *)
 
-(* The guarded aggregation takes an adjacency fast path; wrapping the same
-   guard so it is no longer syntactically an edge atom forces the generic
-   path. Both must agree. *)
+(* An edge guard drives the join through adjacency rows; wrapping the same
+   guard so it is no longer an indicator makes it a materialised table
+   that filters a full enumeration. Both must agree. *)
 let prop_fast_path_equals_generic =
   qtest ~count:25 "edge-guard fast path = generic path" (graph_arbitrary ~min_n:1 ~max_n:7 ())
     (fun input ->
@@ -193,6 +193,149 @@ let prop_random_exprs_invariant =
       Array.iteri (fun v value -> if not (vec_approx ~tol:1e-9 value b.(perm.(v))) then ok := false) a;
       !ok)
 
+(* --- the join evaluator against the materialising oracle ------------------------ *)
+
+(* Random GEL expressions of width 1-4 for the differential test: every
+   built-in aggregate and a custom, order-sensitive one; indicator guards
+   and sum values (products of edge and comparison atoms, E(x,x) and
+   1[x=x] included); zero, nonzero and vector guards; label guards; and
+   products of an indicator with a non-indicator, which must stay tables. *)
+let random_gel_expr rng ~width ~depth =
+  let var () = 1 + Rng.int rng width in
+  let atom () =
+    let x = var () in
+    let y = if Rng.int rng 6 = 0 then x else var () in
+    match Rng.int rng 4 with
+    | 0 | 1 -> Expr.Edge (x, y)
+    | 2 -> Expr.Cmp (Expr.Ceq, x, y)
+    | _ -> Expr.Cmp (Expr.Cneq, x, y)
+  in
+  let rec indicator k =
+    if k <= 1 then atom () else Expr.Apply (Func.product 1, [ atom (); indicator (k - 1) ])
+  in
+  let const d =
+    Expr.Const
+      (Vec.init d (fun _ ->
+           match Rng.int rng 4 with 0 -> 0.0 | 1 -> 1.0 | _ -> Rng.uniform rng ~lo:(-2.0) ~hi:2.0))
+  in
+  (* Order-sensitive and total on the empty bag, so a visiting-order or
+     empty-cell difference changes its result. *)
+  let custom d =
+    Agg.custom ~name:"horner" ~in_dim:d ~out_dim:d (fun bag ->
+        List.fold_left (fun acc v -> Vec.add (Vec.scale 0.5 acc) v) (Vec.create d 7.0) bag)
+  in
+  let rec gen depth d =
+    if d > 1 && Rng.int rng 3 = 0 then Expr.Apply (Func.concat [ 1; d - 1 ], [ gen depth 1; gen depth (d - 1) ])
+    else if depth = 0 then
+      if d = 1 then
+        match Rng.int rng 4 with
+        | 0 -> Expr.Lab (Rng.int rng 2, var ())
+        | 1 -> atom ()
+        | 2 -> indicator 2
+        | _ -> const 1
+      else const d
+    else
+      match Rng.int rng 7 with
+      | 0 -> Expr.Apply (Func.product d, [ gen (depth - 1) d; gen (depth - 1) d ])
+      | 1 -> Expr.Apply (Func.add d, [ gen (depth - 1) d; gen (depth - 1) d ])
+      | 2 -> Expr.Apply (Func.scale (Rng.uniform rng ~lo:(-2.0) ~hi:2.0) d, [ gen (depth - 1) d ])
+      | 3 -> Expr.Apply (Func.activation Glql_nn.Activation.Relu d, [ gen (depth - 1) d ])
+      | _ -> agg depth d
+  and agg depth d =
+    let ys =
+      let vs = Array.init width (fun i -> i + 1) in
+      Rng.shuffle rng vs;
+      Array.to_list (Array.sub vs 0 (1 + Rng.int rng width))
+    in
+    let guard () =
+      match Rng.int rng 8 with
+      | 0 | 1 | 2 -> indicator (1 + Rng.int rng 3)
+      | 3 -> Expr.Const [| 0.0 |]
+      | 4 -> Expr.Const [| 1.0 |]
+      | 5 -> Expr.Apply (Func.concat [ 1; 1 ], [ Expr.Const [| 0.0 |]; indicator 1 ])
+      | 6 -> Expr.Apply (Func.product 1, [ indicator 1; gen (depth - 1) 1 ])
+      | _ -> gen (depth - 1) 1
+    in
+    let th, value =
+      match Rng.int rng (if d = 1 then 7 else 5) with
+      | 0 -> (Agg.sum d, gen (depth - 1) d)
+      | 1 -> (Agg.mean d, gen (depth - 1) d)
+      | 2 -> (Agg.max d, gen (depth - 1) d)
+      | 3 -> (Agg.min d, gen (depth - 1) d)
+      | 4 -> (custom d, gen (depth - 1) d)
+      | 5 ->
+          let dv = 1 + Rng.int rng 2 in
+          (Agg.count dv, gen (depth - 1) dv)
+      | _ ->
+          (* A sum whose value is an indicator, or an indicator times a
+             non-indicator. *)
+          ( Agg.sum 1,
+            if Rng.bool rng then indicator (1 + Rng.int rng 3)
+            else Expr.Apply (Func.product 1, [ indicator 2; gen (depth - 1) 1 ]) )
+    in
+    Expr.Agg (th, ys, value, guard ())
+  in
+  gen depth (1 + Rng.int rng 2)
+
+(* Graphs for the differential test: n = 1..10 with up to two isolated
+   vertices, and two-dimensional labels that now and then hold inf, -inf,
+   nan or a signed zero. *)
+let random_label_graph rng =
+  let n = 1 + Rng.int rng 10 in
+  let isolated = Rng.int rng 3 in
+  let g0 = Generators.erdos_renyi rng ~n ~p:(Rng.float rng) in
+  let n' = n + isolated in
+  let label () =
+    match Rng.int rng 12 with
+    | 0 -> Float.infinity
+    | 1 -> Float.neg_infinity
+    | 2 -> Float.nan
+    | 3 -> -0.0
+    | 4 -> 0.0
+    | _ -> Rng.uniform rng ~lo:(-3.0) ~hi:3.0
+  in
+  Graph.create ~n:n' ~edges:(Graph.edges g0) ~labels:(Array.init n' (fun _ -> Vec.init 2 (fun _ -> label ())))
+
+let same_table (a : Expr.table) (b : Expr.table) =
+  let bits v = Array.map Int64.bits_of_float v in
+  a.Expr.tvars = b.Expr.tvars && a.Expr.tn = b.Expr.tn && a.Expr.tdim = b.Expr.tdim
+  && Array.length a.Expr.tdata = Array.length b.Expr.tdata
+  && Array.for_all2 (fun u v -> bits u = bits v) a.Expr.tdata b.Expr.tdata
+
+let gel_case_arb =
+  QCheck.make
+    ~print:(fun (seed, width, depth) -> Printf.sprintf "expr(seed=%d,width=%d,depth=%d)" seed width depth)
+    QCheck.Gen.(triple (int_bound 1_000_000) (int_range 1 4) (int_range 1 3))
+
+let prop_join_eval_bit_exact =
+  qtest ~count:1000 "join eval = materialising oracle, bit for bit" gel_case_arb
+    (fun (seed, width, depth) ->
+      let rng = Rng.create seed in
+      let e = random_gel_expr rng ~width ~depth in
+      let g = random_label_graph rng in
+      same_table (Expr.eval g e) (Expr_oracle.eval g e))
+
+(* Ill-formed expressions: a well-formed one with one fault planted at
+   the root or inside an aggregation. Both evaluators must reject it. *)
+let prop_join_eval_type_errors =
+  qtest ~count:200 "join eval and oracle reject ill-formed expressions" gel_case_arb
+    (fun (seed, width, depth) ->
+      let rng = Rng.create seed in
+      let e = random_gel_expr rng ~width ~depth in
+      let g = random_label_graph rng in
+      let bad =
+        match Rng.int rng 7 with
+        | 0 -> Expr.Apply (Func.product 1, [ e; Expr.Const [| 1.0; 2.0 |] ])
+        | 1 -> Expr.Agg (Agg.sum 1, [ 1; 1 ], e, Expr.Edge (1, 2))
+        | 2 -> Expr.Agg (Agg.sum 1, [], e, Expr.Edge (1, 2))
+        | 3 -> Expr.Agg (Agg.sum 3, [ 1 ], Expr.Const [| 1.0 |], e)
+        | 4 -> Expr.Agg (Agg.sum 1, [ 2 ], Expr.Const [| 1.0 |], Expr.Apply (Func.product 1, [ e; Expr.Edge (0, 2) ]))
+        | 5 -> Expr.Apply (Func.add 1, [ e; Expr.Lab (7, 1) ])
+        | _ -> Expr.Agg (Agg.count 1, [ 1 ], Expr.Apply (Func.product 1, [ Expr.Edge (1, 2); Expr.Cmp (Expr.Ceq, 2, -1) ]), e)
+      in
+      let rejects f = match f () with _ -> false | exception Expr.Type_error _ -> true in
+      rejects (fun () -> Expr.eval g bad) && rejects (fun () -> Expr_oracle.eval g bad))
+
 (* --- hom / WL interaction -------------------------------------------------------- *)
 
 let prop_path_homs_equal_under_cr =
@@ -220,5 +363,7 @@ let suite =
       prop_normal_form_on_random_exprs;
       prop_normal_form_eval_bit_exact;
       prop_random_exprs_invariant;
+      prop_join_eval_bit_exact;
+      prop_join_eval_type_errors;
       prop_path_homs_equal_under_cr;
     ] )

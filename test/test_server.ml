@@ -405,6 +405,124 @@ let test_layered_reply_digests () =
         shapes digests)
     pinned
 
+(* Direct QUERY replies pinned byte for byte: the MD5 digest of each
+   reply, recorded from the evaluator that materialised every
+   subexpression over all assignments, before aggregations became joins
+   over CSR. The shapes are the service benchmark's direct spellings
+   (per-vertex triangles, 2-variable paths with their nonzero-tuple
+   listing, the closed triangle count) on its ten graphs of at most 64
+   vertices, in its request order, so the plan-cache field of each reply
+   is fixed too. A max-aggregation MPNN, which has no layered plan, is
+   pinned on grid30x30. *)
+let test_direct_reply_digests () =
+  let t = make_server () in
+  let shapes =
+    [
+      "agg_sum{x2,x3}(product(E(x1,x2), product(E(x2,x3), E(x3,x1))) | [1])";
+      "agg_sum{x3,x2}(product(E(x1,x3), product(E(x3,x2), E(x2,x1))) | [1])";
+      "agg_sum{x3}(product(E(x1,x3), E(x3,x2)) | [1])";
+      "agg_sum{x4}(product(E(x1,x4), E(x4,x2)) | [1])";
+      "scale(0.166667)(agg_sum{x1,x2,x3}(product(E(x1,x2), product(E(x2,x3), E(x3,x1))) | [1]))";
+    ]
+  in
+  let pinned =
+    [
+      ( "petersen",
+        [
+          "c7bf4d036096d15bac61ba701d8eb6fe";
+          "0627a0c490ecc0c94ff1267d10c7b8f7";
+          "4bf33afed8ca52a05efab7be6dba9e7b";
+          "2d72ae343d6257212c2b85652316e058";
+          "b8c8b3b3e01dfa5142f8ec268ae714ec";
+        ] );
+      ( "rook",
+        [
+          "012cd0e40edfa45e973c74a2ced7bf3b";
+          "012cd0e40edfa45e973c74a2ced7bf3b";
+          "e593e6a28770b8c16b301a98f815bfa5";
+          "e593e6a28770b8c16b301a98f815bfa5";
+          "198287c6df0d217dacfb775303cbddd8";
+        ] );
+      ( "shrikhande",
+        [
+          "9ce0288ad7004660a3c843e6b67e16d6";
+          "9ce0288ad7004660a3c843e6b67e16d6";
+          "7c8c48deb5b156af8565a6e4a5773395";
+          "7c8c48deb5b156af8565a6e4a5773395";
+          "8e03a8a3a40b4b55e163f2dcc8ae5cf2";
+        ] );
+      ( "decalin",
+        [
+          "1cc15ef56566eaae994dccc39d94bd98";
+          "1cc15ef56566eaae994dccc39d94bd98";
+          "c181977129b9670af2b7fde4550eaeaa";
+          "c181977129b9670af2b7fde4550eaeaa";
+          "02ae904716179da78b0a1fd06c804394";
+        ] );
+      ( "hexagon",
+        [
+          "d0d812a052f811bdc5cf1855e335956c";
+          "d0d812a052f811bdc5cf1855e335956c";
+          "f881598ce02b4b296b360eee04467e91";
+          "f881598ce02b4b296b360eee04467e91";
+          "5714e777a76cfb2327e85cbd85e7bcd3";
+        ] );
+      ( "cycle16",
+        [
+          "f9549e9e5a8adcee8334054ddb2691cc";
+          "f9549e9e5a8adcee8334054ddb2691cc";
+          "dedb175fc12781718c8cbb65c7a5674f";
+          "dedb175fc12781718c8cbb65c7a5674f";
+          "4e3f13e337136ddbd8e2468a070e5fd9";
+        ] );
+      ( "grid4x4",
+        [
+          "13ba5a3c928d49a0382cdc76e65b3259";
+          "13ba5a3c928d49a0382cdc76e65b3259";
+          "63ef187f980dfea5da4864303e9b711e";
+          "63ef187f980dfea5da4864303e9b711e";
+          "730441ffbc25400f99114d859f2045a0";
+        ] );
+      ( "cycle30",
+        [
+          "d2bb26e95c4a4c8269dc53e56e88b6cd";
+          "d2bb26e95c4a4c8269dc53e56e88b6cd";
+          "9146f59ea9d1be70e1c742f93096c0af";
+          "9146f59ea9d1be70e1c742f93096c0af";
+          "d42ede9483a3cec60cef86f9a5fb8e25";
+        ] );
+      ( "circulant48c1c5",
+        [
+          "5d715f4d38a79bd0b76b4792300e33b4";
+          "5d715f4d38a79bd0b76b4792300e33b4";
+          "6b55d2d72387745a0cea811ec755b032";
+          "6b55d2d72387745a0cea811ec755b032";
+          "4ac95ed17c375b9991377c4220f9a695";
+        ] );
+      ( "grid8x8",
+        [
+          "7bf96e51971bd74af104d9bd1793dde1";
+          "7bf96e51971bd74af104d9bd1793dde1";
+          "0944bf96c4ebc8bfa4655d19e4731cd5";
+          "0944bf96c4ebc8bfa4655d19e4731cd5";
+          "aaa9381d93db1ef35c55eb5f4eb5f656";
+        ] );
+    ]
+  in
+  let query g src digest =
+    let reply = Server.handle_line t (Printf.sprintf "QUERY %s '%s'" g src) in
+    check_bool (g ^ " direct plan") true (contains ~needle:"\"plan\":\"direct\"" reply);
+    Alcotest.(check string) (g ^ " " ^ src) digest (Digest.to_hex (Digest.string reply))
+  in
+  List.iter
+    (fun (g, digests) ->
+      check_bool ("load " ^ g) true (P.is_ok (Server.handle_line t (Printf.sprintf "LOAD %s %s" g g)));
+      List.iter2 (query g) shapes digests)
+    pinned;
+  check_bool "load grid30x30" true (P.is_ok (Server.handle_line t "LOAD grid30x30 grid30x30"));
+  query "grid30x30" "agg_max{x2}(agg_sum{x1}([1] | E(x2,x1)) | E(x1,x2))"
+    "3b51d92f0c44e46f788f4e1497c3da30"
+
 let test_handle_line_wl_cache () =
   let t = make_server () in
   let first = Server.handle_line t "WL petersen" in
@@ -899,6 +1017,39 @@ let test_deadline_cancels_kernels () =
   (* The same server still answers instant requests fine. *)
   check_bool "cheap request unaffected" true (P.is_ok (Server.handle_line t "PING"));
   check_bool "small graph unaffected" true (P.is_ok (Server.handle_line t "WL petersen"))
+
+(* The request timeout reaches inside GEL evaluation. No atom of this
+   guard prunes the join (only inequalities), so it walks all 5·10^8
+   assignments of four variables on cycle150, about ten seconds of work
+   on a 2-vCPU host, while its output is only 150 cells and passes the
+   cell guard. *)
+let test_gel_deadline_inside_eval () =
+  let t =
+    Server.create
+      { Server.default_config with Server.socket_path = None; request_timeout_s = 1.0 }
+  in
+  check_bool "load" true (P.is_ok (Server.handle_line t "LOAD c cycle150"));
+  let t0 = Glql_util.Clock.now_ns () in
+  let reply =
+    Server.handle_line t
+      "QUERY c 'agg_sum{x2,x3,x4}([1] | product(1[x1!=x2], product(1[x2!=x3], 1[x3!=x4])))'"
+  in
+  let elapsed = Glql_util.Clock.ns_to_s (Glql_util.Clock.elapsed_ns t0) in
+  Alcotest.(check (option string)) "deadline code" (Some "ERR_DEADLINE") (code_of reply);
+  check_bool (Printf.sprintf "answered within 1.5 s (took %.2f s)" elapsed) true (elapsed < 1.5);
+  check_bool "server still serving" true (P.is_ok (Server.handle_line t "QUERY c 'agg_sum{x2}([1] | E(x1,x2))'"))
+
+(* A max-aggregation MPNN has no layered plan and is evaluated directly;
+   its edge guards drive the join over CSR rows, so grid100x100 costs
+   O(n + m), with no n^2 table of E(x1,x2). *)
+let test_direct_max_mpnn_grid100 () =
+  let t = make_server () in
+  check_bool "load" true (P.is_ok (Server.handle_line t "LOAD g grid100x100"));
+  let reply = Server.handle_line t "QUERY g 'agg_max{x2}(agg_sum{x1}([1] | E(x2,x1)) | E(x1,x2))'" in
+  check_bool "answered" true (P.is_ok reply);
+  check_bool "direct plan" true (contains ~needle:"\"plan\":\"direct\"" reply);
+  (* A corner's neighbours have degree 3, an interior vertex's 4. *)
+  check_bool "corner value" true (contains ~needle:"\"values\":[[3],[4]," reply)
 
 let test_featurize_cell_budget_preempts () =
   (* The cell budget is enforced column by column, before each block is
@@ -1601,6 +1752,9 @@ let suite =
       case "registry canonical spec whitespace" test_registry_canonical_spec;
       case "handle_line: query flow and plan cache" test_handle_line_flow;
       case "handle_line: layered replies pinned by digest" test_layered_reply_digests;
+      case "handle_line: direct replies pinned by digest" test_direct_reply_digests;
+      case "handle_line: GEL deadline inside evaluation" test_gel_deadline_inside_eval;
+      case "handle_line: direct max MPNN on grid100x100" test_direct_max_mpnn_grid100;
       case "handle_line: coloring cache" test_handle_line_wl_cache;
       case "handle_line: reload serves fresh coloring" test_reload_serves_fresh_coloring;
       case "handle_line: cell guard overflow" test_cell_guard_overflow;
