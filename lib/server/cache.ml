@@ -1,8 +1,11 @@
-(* Plan and colouring caches. Misses compute under the cache lock: plan
-   compilation is microseconds, colourings are bounded by the registered
-   graphs, and computing inside the lock means one compute per key even
-   under concurrent identical requests — which also makes cache-hit
-   accounting deterministic for the end-to-end tests. *)
+(* Plan and colouring caches. Plans compile under the cache lock (a
+   compile takes microseconds). Every miss that runs a kernel (colour
+   refinement, k-WL, a hom profile, a feature matrix) goes through
+   [single_flight] instead: the kernel runs with the lock released, so a
+   slow refinement never holds up another request's lookups, and a
+   second asker for the same key waits for the first one's value rather
+   than computing it again — which keeps cache-hit accounting
+   deterministic for the end-to-end tests. *)
 
 module Expr = Glql_gel.Expr
 module Parser = Glql_gel.Parser
@@ -11,7 +14,9 @@ module Normal_form = Glql_gel.Normal_form
 module Graph = Glql_graph.Graph
 module Cr = Glql_wl.Color_refinement
 module Kwl = Glql_wl.Kwl
+module Count = Glql_hom.Count
 module Lru = Glql_util.Lru
+module Clock = Glql_util.Clock
 module Trace = Glql_util.Trace
 
 type plan = {
@@ -33,7 +38,10 @@ type seed = {
   seed_touched_lab : int list;
 }
 
-type coloring = C_cr of Cr.result | C_kwl of Kwl.result | C_seed of seed
+(* [C_hom (size, profile)]: the hom profile over every free tree with at
+   most [size] vertices, the largest size computed so far for the graph.
+   Patterns come in size order, so a smaller size is served as a prefix. *)
+type coloring = C_cr of Cr.result | C_kwl of Kwl.result | C_seed of seed | C_hom of int * float array
 
 (* An assembled feature matrix, cached whole so a warm PREDICT (or a
    repeated FEATURIZE/TRAIN on an unchanged graph) skips column
@@ -55,11 +63,17 @@ type fm = {
 (* (graph name, registry generation, mode, canonical recipe). *)
 type feature_key = string * int * string * string
 
+(* A key whose kernel is running right now, outside the lock. *)
+type flight = F_coloring of string | F_feature of feature_key
+
 type t = {
   plans : (string, plan) Lru.t;
   colorings : (string, coloring) Lru.t;
   features : (feature_key, fm) Lru.t;
   mutex : Mutex.t;
+  flights : (flight, unit) Hashtbl.t;
+  landed : Condition.t;  (* broadcast whenever a flight ends, value or not *)
+  mutable waits : int;  (* lookups that waited on an in-flight key *)
   mutable incremental_recolors : int;
   mutable incremental_fallbacks : int;
 }
@@ -73,6 +87,9 @@ let create ?(plan_bytes = 0) ?(coloring_bytes = 0) ?(feature_bytes = 0) ~plan_ca
     colorings = Lru.create ~max_bytes:coloring_bytes ~capacity:coloring_capacity ();
     features = Lru.create ~max_bytes:feature_bytes ~capacity:default_feature_capacity ();
     mutex = Mutex.create ();
+    flights = Hashtbl.create 8;
+    landed = Condition.create ();
+    waits = 0;
     incremental_recolors = 0;
     incremental_fallbacks = 0;
   }
@@ -98,6 +115,7 @@ let rec coloring_cost = function
       coloring_cost (C_cr s.seed_base)
       + (8 * List.length s.seed_touched_adj)
       + (8 * List.length s.seed_touched_lab)
+  | C_hom (_, p) -> 256 + (8 * Array.length p)
 
 (* ~8 bytes a cell plus per-row array overhead; the strings and column
    list are noise next to the rows but counted for honesty. *)
@@ -142,17 +160,45 @@ let plan t src =
                   Lru.put ~bytes:(plan_cost p) t.plans key p;
                   Ok (p, `Miss))))
 
-(* A compute that raises (notably Clock.Deadline_exceeded from the
-   cooperative kernel checks) propagates out of with_lock's Fun.protect:
-   the mutex is released and no partial entry is cached. *)
-let coloring_entry t key compute =
-  with_lock t (fun () ->
-      match Lru.get t.colorings key with
-      | Some c -> (c, `Hit)
-      | None ->
-          let c = compute () in
-          Lru.put ~bytes:(coloring_cost c) t.colorings key c;
-          (c, `Miss))
+(* The one lookup every kernel-running miss goes through. Under the lock,
+   a key in flight waits on [landed] and looks again; [find] (an
+   [Lru.get], which counts the hit or miss) answers a hit at once; a miss
+   marks the key in flight and [compute] runs with the lock released. On
+   [Ok w] the owner runs [store w] under the lock; on an exception
+   (Clock.Deadline_exceeded included) or an [Error] it stores nothing.
+   Either way it then clears the flight and broadcasts. A waiter that
+   finds the owner's value reports [`Hit]; one woken to no value checks
+   its own deadline and computes the value itself. *)
+let single_flight t flight ~deadline ~find ~compute ~store =
+  Mutex.lock t.mutex;
+  let waited = Hashtbl.mem t.flights flight in
+  if waited then t.waits <- t.waits + 1;
+  while Hashtbl.mem t.flights flight do
+    Condition.wait t.landed t.mutex
+  done;
+  match find () with
+  | Some v ->
+      Mutex.unlock t.mutex;
+      Ok (v, `Hit)
+  | None when waited && Clock.expired deadline ->
+      Mutex.unlock t.mutex;
+      raise Clock.Deadline_exceeded
+  | None ->
+      Hashtbl.replace t.flights flight ();
+      Mutex.unlock t.mutex;
+      Fun.protect
+        ~finally:(fun () ->
+          with_lock t (fun () ->
+              Hashtbl.remove t.flights flight;
+              Condition.broadcast t.landed))
+        (fun () -> Result.map (fun w -> (with_lock t (fun () -> store w), `Miss)) (compute ()))
+
+(* Colouring kernels never return [Error]. *)
+let coloring_flight t key ~deadline ~find ~compute ~store =
+  Result.get_ok
+    (single_flight t (F_coloring key) ~deadline ~find ~compute:(fun () -> Ok (compute ())) ~store)
+
+let put_coloring t key c = Lru.put ~bytes:(coloring_cost c) t.colorings key c
 
 (* Colouring keys embed the registry generation: a LOAD that replaces a
    name bumps the generation, so entries computed on the old graph are
@@ -162,53 +208,66 @@ let seed_key gen graph_name = Printf.sprintf "crseed:%d:%s" gen graph_name
 
 let cr t ~graph_name ~gen ?(deadline = None) g =
   let key = Printf.sprintf "cr:%d:%s" gen graph_name in
-  with_lock t (fun () ->
-      match Lru.get t.colorings key with
-      | Some (C_cr r) -> (r, `Hit)
-      | Some _ -> assert false (* "cr:" keys only ever hold C_cr *)
-      | None ->
-          let skey = seed_key gen graph_name in
-          let result =
-            match Lru.peek t.colorings skey with
-            | Some (C_seed s) ->
-                (* A MUTATE left the superseded colouring as a seed:
-                   recolour the frontier instead of refining cold. The
-                   seed is consumed either way (on fallback it cannot
-                   help this generation any more either). *)
-                let r, incremental =
-                  Cr.run_incremental ~deadline ~base:s.seed_base
-                    ~touched_adj:s.seed_touched_adj ~touched_lab:s.seed_touched_lab g
-                in
-                Lru.remove t.colorings skey;
-                if incremental then t.incremental_recolors <- t.incremental_recolors + 1
-                else t.incremental_fallbacks <- t.incremental_fallbacks + 1;
-                r
-            | _ -> Cr.run ~deadline g
+  let skey = seed_key gen graph_name in
+  (* A MUTATE may have left the superseded colouring as a seed: recolour
+     the frontier instead of refining cold. The seed is consumed when the
+     recolouring lands, even on a fallback (it cannot help this
+     generation any more); a deadline leaves it for the next asker. *)
+  coloring_flight t key ~deadline
+    ~find:(fun () -> match Lru.get t.colorings key with Some (C_cr r) -> Some r | _ -> None)
+    ~compute:(fun () ->
+      match with_lock t (fun () -> Lru.peek t.colorings skey) with
+      | Some (C_seed s) ->
+          let r, incremental =
+            Cr.run_incremental ~deadline ~base:s.seed_base ~touched_adj:s.seed_touched_adj
+              ~touched_lab:s.seed_touched_lab g
           in
-          Lru.put ~bytes:(coloring_cost (C_cr result)) t.colorings key (C_cr result);
-          (result, `Miss))
+          (r, Some incremental)
+      | _ -> (Cr.run ~deadline g, None))
+    ~store:(fun (r, seeded) ->
+      Option.iter
+        (fun incremental ->
+          Lru.remove t.colorings skey;
+          if incremental then t.incremental_recolors <- t.incremental_recolors + 1
+          else t.incremental_fallbacks <- t.incremental_fallbacks + 1)
+        seeded;
+      put_coloring t key (C_cr r);
+      r)
 
 let kwl t ~graph_name ~gen ~k ?(deadline = None) g =
-  match
-    coloring_entry t
-      (Printf.sprintf "kwl:%d:%d:%s" k gen graph_name)
-      (fun () -> C_kwl (Kwl.run_joint ~deadline ~k ~variant:Kwl.Folklore [ g ]))
-  with
-  | C_kwl r, hit -> (r, hit)
-  | (C_cr _ | C_seed _), _ -> assert false
+  let key = Printf.sprintf "kwl:%d:%d:%s" k gen graph_name in
+  coloring_flight t key ~deadline
+    ~find:(fun () -> match Lru.get t.colorings key with Some (C_kwl r) -> Some r | _ -> None)
+    ~compute:(fun () -> Kwl.run_joint ~deadline ~k ~variant:Kwl.Folklore [ g ])
+    ~store:(fun r ->
+      put_coloring t key (C_kwl r);
+      r)
 
-(* Feature-matrix lookups are split find/store rather than
-   compute-under-lock: a miss rebuilds the matrix through Featurize.build,
-   which re-enters this cache for its column colourings and plans — the
-   mutex is not reentrant, and column work is too expensive to serialise
-   anyway. Lru.get still counts the hit/miss deterministically. *)
+let hom t ~graph_name ~gen ~size ?(deadline = None) patterns g =
+  let key = Printf.sprintf "hom:%d:%s" gen graph_name in
+  let npat = List.length patterns in
+  fst
+    (coloring_flight t key ~deadline
+       ~find:(fun () ->
+         (* A stored profile smaller than [size] is recomputed, and the
+            lookup counts neither a hit nor a miss. *)
+         match Lru.peek t.colorings key with
+         | Some (C_hom (s, _)) when s < size -> None
+         | _ -> (
+             match Lru.get t.colorings key with
+             | Some (C_hom (_, p)) -> Some (Array.sub p 0 npat)
+             | _ -> None))
+       ~compute:(fun () -> Count.profile ~deadline patterns g)
+       ~store:(fun p ->
+         put_coloring t key (C_hom (size, p));
+         p))
 
-let feature_find t ~graph_name ~gen ~mode ~recipe =
-  with_lock t (fun () -> Lru.get t.features (graph_name, gen, mode, recipe))
-
-let feature_store t ~graph_name ~gen ~mode ~recipe m =
-  with_lock t (fun () ->
-      Lru.put ~bytes:(feature_cost m) t.features (graph_name, gen, mode, recipe) m)
+let features t ~graph_name ~gen ~mode ~recipe ?(deadline = None) compute =
+  let key = (graph_name, gen, mode, recipe) in
+  single_flight t (F_feature key) ~deadline
+    ~find:(fun () -> Lru.get t.features key) ~compute ~store:(fun m ->
+      Lru.put ~bytes:(feature_cost m) t.features key m;
+      m)
 
 (* --- snapshot export / seeding ------------------------------------------ *)
 
@@ -223,8 +282,9 @@ type exported_coloring =
   | E_cr of { graph_name : string; gen : int; result : Cr.result }
   | E_kwl of { graph_name : string; gen : int; k : int; result : Kwl.result }
 
-(* Colouring keys are "cr:<gen>:<name>" / "kwl:<k>:<gen>:<name>"; the
-   name comes last so it may itself contain colons. *)
+(* Colouring keys are "cr:<gen>:<name>" / "kwl:<k>:<gen>:<name>" /
+   "hom:<gen>:<name>"; the name comes last so it may itself contain
+   colons. *)
 let parse_coloring_key key =
   match String.index_opt key ':' with
   | None -> None
@@ -241,6 +301,7 @@ let parse_coloring_key key =
       in
       match kind with
       | "cr" -> Option.map (fun (gen, name) -> `Cr (gen, name)) (split_int rest)
+      | "hom" -> Option.map (fun (gen, name) -> `Hom (gen, name)) (split_int rest)
       | "kwl" ->
           Option.bind (split_int rest) (fun (k, rest) ->
               Option.map (fun (gen, name) -> `Kwl (k, gen, name)) (split_int rest))
@@ -286,7 +347,7 @@ let note_mutation t ~graph_name ~old_gen ~gen ~touched_adj ~touched_lab =
       List.iter
         (fun key ->
           match parse_coloring_key key with
-          | Some (`Kwl (_, g, n)) when g = old_gen && n = graph_name ->
+          | Some (`Kwl (_, g, n) | `Hom (g, n)) when g = old_gen && n = graph_name ->
               Lru.remove t.colorings key
           | _ -> ())
         (Lru.keys_mru_first t.colorings);
@@ -372,6 +433,7 @@ let stats t =
         ("seed_bytes", seed_bytes);
         ("incremental_recolors", t.incremental_recolors);
         ("incremental_fallbacks", t.incremental_fallbacks);
+        ("batch_coalesced", t.waits);
       ])
 
 let clear t =

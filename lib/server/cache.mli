@@ -12,9 +12,15 @@
     from its history). Keying by generation means a LOAD that replaces a
     name never has its colourings answered from the old graph's entries.
 
-    All entry points are thread-safe; lookups that miss compute the value
-    while holding the cache lock, so concurrent requests for the same key
-    compute it once and the second request is an observable hit. *)
+    All entry points are thread-safe. Plans compile under the cache lock.
+    Every other miss is {e single-flight}: the asker marks the key in
+    flight and runs the kernel with the lock released, so a slow
+    refinement never holds up other lookups. A concurrent asker of the
+    same key waits for that value and reports [`Hit] (the second request
+    is an observable hit); the lookups that waited are counted under
+    [batch_coalesced] in {!stats}. A kernel that raises (a deadline
+    included) caches nothing, and a waiter then computes the value
+    itself. *)
 
 module Expr = Glql_gel.Expr
 module Normal_form = Glql_gel.Normal_form
@@ -65,13 +71,14 @@ val plan : t -> string -> (plan * [ `Hit | `Miss ], string) result
     (name, registry generation) — see {!Registry.find_entry}.
     [deadline] is threaded into the kernel on a miss; a cancelled
     compute raises [Glql_util.Clock.Deadline_exceeded] out of the
-    lookup with the lock released and nothing cached.
+    lookup with nothing cached.
 
     A miss first looks for an incremental seed left by {!note_mutation}
     for this generation: if one is present the colouring is rebuilt by
     frontier recolouring from the superseded result
     ({!Cr.run_incremental}) instead of cold refinement, the seed is
-    consumed, and the lookup still reports [`Miss] (reply bytes are
+    consumed once the colouring is stored (a cancelled compute leaves
+    it), and the lookup still reports [`Miss] (reply bytes are
     independent of how the colouring was computed). *)
 val cr :
   t -> graph_name:string -> gen:int -> ?deadline:int64 option -> Graph.t ->
@@ -83,12 +90,22 @@ val kwl :
   t -> graph_name:string -> gen:int -> k:int -> ?deadline:int64 option -> Graph.t ->
   Kwl.result * [ `Hit | `Miss ]
 
+(** The hom profile of the named graph over [patterns], which must be
+    [Glql_hom.Tree.all_free_trees_up_to size]. One colouring-cache entry
+    per (name, generation) holds the profile at the largest size computed
+    so far; a smaller size is served as its prefix. Never snapshotted.
+    Deadline semantics as in {!cr}. *)
+val hom :
+  t -> graph_name:string -> gen:int -> size:int -> ?deadline:int64 option -> Graph.t list ->
+  Graph.t -> float array
+
 (** Record a generation turnover after a successful MUTATE: the
     superseded generation's cached colouring (or its not-yet-consumed
     seed — mutations can stack) becomes the incremental-recolouring seed
     for [gen], stored cold under ["crseed:<gen>:<name>"] so it counts
     against the colouring byte budget but is evicted before any live
-    entry. Stale entries keyed to [old_gen] are removed eagerly.
+    entry. Stale entries keyed to [old_gen] (k-WL and hom profiles
+    included) are removed eagerly.
     [touched_adj] / [touched_lab] are the frontier vertices from
     {!Registry.mutation_outcome}. *)
 val note_mutation :
@@ -103,16 +120,17 @@ val note_mutation :
 (** {2 Feature-matrix cache}
 
     Keyed on (graph name, registry generation, mode, canonical recipe).
-    Lookups are split find/store rather than compute-under-lock: a miss
-    rebuilds through {!Featurize.build}, which re-enters this cache for
-    its column colourings and plans. A [feature_find] miss still counts
-    deterministically in the [feature_misses] stat. {!note_mutation}
-    eagerly removes the superseded generation's matrices; a LOAD's
-    generation bump makes old entries unreachable so they age out. *)
+    {!note_mutation} eagerly removes the superseded generation's
+    matrices; a LOAD's generation bump makes old entries unreachable so
+    they age out. *)
 
-val feature_find : t -> graph_name:string -> gen:int -> mode:string -> recipe:string -> fm option
-
-val feature_store : t -> graph_name:string -> gen:int -> mode:string -> recipe:string -> fm -> unit
+(** The cached matrix, or the one [build] assembles on a miss — the
+    same single-flight lookup as the colourings. [build] runs with the
+    lock released and may re-enter this cache for its column colourings
+    and plans; its [Error] is returned as is and caches nothing. *)
+val features :
+  t -> graph_name:string -> gen:int -> mode:string -> recipe:string -> ?deadline:int64 option ->
+  (unit -> (fm, 'e) result) -> (fm * [ `Hit | `Miss ], 'e) result
 
 (** {2 Snapshot export / seeding}
 
@@ -140,8 +158,9 @@ val seed_kwl : t -> graph_name:string -> gen:int -> k:int -> Kwl.result -> unit
 (** Counter snapshot: plan/coloring/feature hits, misses, evictions,
     sizes, byte gauges ([*_bytes] used vs [*_byte_budget]), the live
     incremental seeds ([seed_entries] / [seed_bytes], included in the
-    coloring gauges), and how mutated graphs were recoloured
-    ([incremental_recolors] vs [incremental_fallbacks]). *)
+    coloring gauges), how mutated graphs were recoloured
+    ([incremental_recolors] vs [incremental_fallbacks]), and the lookups
+    that waited on an in-flight key ([batch_coalesced]). *)
 val stats : t -> (string * int) list
 
 (** Empty both caches (counters survive); used by the cold-cache bench. *)

@@ -4,7 +4,7 @@
    summary row for the whole graph (Fm_graph). Columns are evaluated
    through the server's Cache, so WL/k-WL colorings and compiled GEL
    plans are shared with QUERY/WL/KWL traffic and across FEATURIZE /
-   TRAIN requests in the same batch. *)
+   TRAIN / PREDICT requests. *)
 
 module P = Protocol
 module Graph = Glql_graph.Graph
@@ -76,11 +76,6 @@ let parse_recipe recipe =
       | s :: rest -> Result.bind (parse_column s) (fun c -> go (c :: acc) rest)
     in
     go [] specs
-
-(* Does the recipe pull a (k-)WL coloring? Used by the server's batch
-   planner to coalesce colorings across a pipelined request batch. *)
-let wants_wl cols = List.exists (function Col_wl _ -> true | _ -> false) cols
-let wants_kwl cols = List.filter_map (function Col_kwl k -> Some k | _ -> None) cols
 
 type built = {
   b_mode : P.feat_mode;
@@ -238,36 +233,8 @@ let build_column ~cache ~graph_name ~gen ~deadline ~check_cells mode g col =
    sections normalize away and "deg; wl" keys the same entry as "deg;wl". *)
 let canonical_recipe cols = String.concat ";" (List.map column_name cols)
 
-let rec build ~cache ~graph_name ~gen ?(deadline = None) ?(max_cells = 0) mode g cols =
-  let n_rows = match mode with P.Fm_vertex -> Graph.n_vertices g | P.Fm_graph -> 1 in
-  match
-    Cache.feature_find cache ~graph_name ~gen ~mode:(P.feat_mode_name mode)
-      ~recipe:(canonical_recipe cols)
-  with
-  | Some m when max_cells > 0 && n_rows * m.Cache.fm_width > max_cells ->
-      (* Same rejection a cold build would hit — a cached matrix must not
-         smuggle an over-budget answer past --max-cells. *)
-      Error
-        ( "ERR_LIMIT_CELLS",
-          Printf.sprintf "feature matrix %dx%d exceeds --max-cells %d" n_rows m.Cache.fm_width
-            max_cells )
-  | Some m ->
-      (* Warm path: the whole matrix comes back without touching a
-         column. One feature-level hit is reported; the column caches
-         were never consulted. *)
-      Ok
-        {
-          b_mode = mode;
-          b_cols = m.Cache.fm_cols;
-          b_width = m.Cache.fm_width;
-          b_rows = m.Cache.fm_rows;
-          b_schema = m.Cache.fm_schema;
-          b_cache_hits = 1;
-          b_cache_misses = 0;
-        }
-  | None -> build_cold ~cache ~graph_name ~gen ~deadline ~max_cells mode g cols n_rows
-
-and build_cold ~cache ~graph_name ~gen ~deadline ~max_cells mode g cols n_rows =
+(* Assemble the matrix column by column: [Ok (matrix, hits, misses)]. *)
+let build_cold ~cache ~graph_name ~gen ~deadline ~over_budget ~too_wide mode g cols n_rows =
   (* Running cell budget, enforced column by column before each block is
      materialized (see build_column): the accumulated matrix so far plus
      the candidate column's width must fit under max_cells, so the cap
@@ -275,10 +242,7 @@ and build_cold ~cache ~graph_name ~gen ~deadline ~max_cells mode g cols n_rows =
   let acc_width = ref 0 in
   let check_cells w =
     let total = !acc_width + w in
-    if max_cells > 0 && n_rows * total > max_cells then
-      Error
-        ( "ERR_LIMIT_CELLS",
-          Printf.sprintf "feature matrix %dx%d exceeds --max-cells %d" n_rows total max_cells )
+    if over_budget total then too_wide total
     else begin
       acc_width := total;
       Ok ()
@@ -302,35 +266,65 @@ and build_cold ~cache ~graph_name ~gen ~deadline ~max_cells mode g cols n_rows =
   | Error _ as e -> e
   | Ok (blocks, hits, misses) ->
       let width = List.fold_left (fun acc (_, w, _) -> acc + w) 0 blocks in
-      begin
-        let rows =
-          Array.init n_rows (fun i ->
-              let row = Array.make width 0.0 in
-              let off = ref 0 in
-              List.iter
-                (fun (_, w, block) ->
-                  Array.blit block.(i) 0 row !off w;
-                  off := !off + w)
-                blocks;
-              row)
-        in
-        let col_widths = List.map (fun (name, w, _) -> (name, w)) blocks in
-        let schema = schema_of_widths mode col_widths in
-        (* Cache the finished matrix under its generation so the next
-           FEATURIZE / TRAIN / PREDICT on the unchanged graph skips
-           column materialisation entirely. Rows are shared, not copied:
-           every consumer treats them as read-only. *)
-        Cache.feature_store cache ~graph_name ~gen ~mode:(P.feat_mode_name mode)
-          ~recipe:(canonical_recipe cols)
-          { Cache.fm_cols = col_widths; fm_width = width; fm_rows = rows; fm_schema = schema };
-        Ok
-          {
-            b_mode = mode;
-            b_cols = col_widths;
-            b_width = width;
-            b_rows = rows;
-            b_schema = schema;
-            b_cache_hits = hits;
-            b_cache_misses = misses;
-          }
-      end
+      let rows =
+        Array.init n_rows (fun i ->
+            let row = Array.make width 0.0 in
+            let off = ref 0 in
+            List.iter
+              (fun (_, w, block) ->
+                Array.blit block.(i) 0 row !off w;
+                off := !off + w)
+              blocks;
+            row)
+      in
+      let col_widths = List.map (fun (name, w, _) -> (name, w)) blocks in
+      (* Rows are shared, not copied: every consumer of the cached
+         matrix treats them as read-only. *)
+      Ok
+        ( {
+            Cache.fm_cols = col_widths;
+            fm_width = width;
+            fm_rows = rows;
+            fm_schema = schema_of_widths mode col_widths;
+          },
+          hits,
+          misses )
+
+(* The matrix comes through the cache's single-flight lookup, so
+   concurrent builds of one (graph, generation, mode, recipe) assemble it
+   once. A hit reports one feature-level hit, since no column cache was
+   consulted; a miss reports the column caches' hits and misses. *)
+let build ~cache ~graph_name ~gen ?(deadline = None) ?(max_cells = 0) mode g cols =
+  let n_rows = match mode with P.Fm_vertex -> Graph.n_vertices g | P.Fm_graph -> 1 in
+  let over_budget width = max_cells > 0 && n_rows * width > max_cells in
+  let too_wide width =
+    Error
+      ( "ERR_LIMIT_CELLS",
+        Printf.sprintf "feature matrix %dx%d exceeds --max-cells %d" n_rows width max_cells )
+  in
+  let counts = ref (1, 0) in
+  match
+    Cache.features cache ~graph_name ~gen ~mode:(P.feat_mode_name mode)
+      ~recipe:(canonical_recipe cols) ~deadline (fun () ->
+        Result.map
+          (fun (m, hits, misses) ->
+            counts := (hits, misses);
+            m)
+          (build_cold ~cache ~graph_name ~gen ~deadline ~over_budget ~too_wide mode g cols n_rows))
+  with
+  | Error _ as e -> e
+  | Ok (m, `Hit) when over_budget m.Cache.fm_width ->
+      (* Same rejection a cold build would hit: a cached matrix must not
+         smuggle an over-budget answer past --max-cells. *)
+      too_wide m.Cache.fm_width
+  | Ok (m, _) ->
+      Ok
+        {
+          b_mode = mode;
+          b_cols = m.Cache.fm_cols;
+          b_width = m.Cache.fm_width;
+          b_rows = m.Cache.fm_rows;
+          b_schema = m.Cache.fm_schema;
+          b_cache_hits = fst !counts;
+          b_cache_misses = snd !counts;
+        }

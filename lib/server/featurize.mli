@@ -23,8 +23,8 @@
     v}
 
     Colorings and plans are fetched through the server {!Cache}, so they
-    are shared with WL/KWL/QUERY traffic and coalesced across a
-    pipelined batch. *)
+    are shared with WL/KWL/QUERY traffic, and a colouring that several
+    requests need at once is computed once. *)
 
 module P = Protocol
 module Graph = Glql_graph.Graph
@@ -45,12 +45,6 @@ val column_name : column -> string
 (** Parse a recipe string. [Error] messages are suitable for an
     ERR_BAD_RECIPE reply. *)
 val parse_recipe : string -> (column list, string) result
-
-(** Recipe pulls a color refinement / k-WL colorings (the [k] list) —
-    used by the server's batch planner for cross-request coalescing. *)
-val wants_wl : column list -> bool
-
-val wants_kwl : column list -> int list
 
 (** Canonical form of a parsed recipe (';'-joined {!column_name}s) — the
     feature-cache key component, normal under whitespace and blank
@@ -83,11 +77,13 @@ val row_digest : float array array -> string
     without materializing it.
 
     The finished matrix is cached whole in the server {!Cache} under
-    (graph, generation, mode, canonical recipe); a warm call returns it
-    without touching a column and reports one feature-level cache hit
-    ([b_cache_hits = 1], [b_cache_misses = 0]). The cell budget is
-    re-checked on the warm path. Cached rows are shared, never copied —
-    consumers treat them as read-only. *)
+    (graph, generation, mode, canonical recipe), through its
+    single-flight lookup ({!Cache.features}): concurrent builds of one key
+    assemble it once. A warm call (or one that waited for a concurrent
+    build) returns it without touching a column and reports one
+    feature-level cache hit ([b_cache_hits = 1], [b_cache_misses = 0]).
+    The cell budget is re-checked on the warm path. Cached rows are
+    shared, never copied — consumers treat them as read-only. *)
 val build :
   cache:Cache.t ->
   graph_name:string ->

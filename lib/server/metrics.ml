@@ -29,7 +29,6 @@ type t = {
      not the service's, and are not carried across restarts. *)
   mutable conns_rejected : int;  (* accepts refused at the connection cap *)
   mutable conns_dropped : int;  (* peers dropped for input-limit violations *)
-  mutable batch_coalesced : int;  (* requests answered from a shared batch pass *)
   by_command : (string, int) Hashtbl.t;
   by_stage : (string, stage_stat) Hashtbl.t;
   ring : int array;  (* latencies in ns; valid up to [min requests window] *)
@@ -46,7 +45,6 @@ let create () =
     bytes_out = 0;
     conns_rejected = 0;
     conns_dropped = 0;
-    batch_coalesced = 0;
     by_command = Hashtbl.create 16;
     by_stage = Hashtbl.create 16;
     ring = Array.make window 0;
@@ -95,11 +93,6 @@ let add_io t ~bytes_in ~bytes_out =
 let conn_rejected t = with_lock t (fun () -> t.conns_rejected <- t.conns_rejected + 1)
 
 let conn_dropped t = with_lock t (fun () -> t.conns_dropped <- t.conns_dropped + 1)
-
-(* Batch coalescing lives with the governance counters: a per-process
-   fact about this life of the daemon, outside the persisted [counters]
-   record so snapshots keep their format. *)
-let add_coalesced t n = with_lock t (fun () -> t.batch_coalesced <- t.batch_coalesced + n)
 
 type counters = {
   c_requests : int;
@@ -169,7 +162,6 @@ let to_json t ~extra =
             ("bytes_out", Int t.bytes_out);
             ("conns_rejected", Int t.conns_rejected);
             ("conns_dropped", Int t.conns_dropped);
-            ("batch_coalesced", Int t.batch_coalesced);
           ],
           request_sample_locked t,
           Hashtbl.fold (fun k v acc -> (k, Int v) :: acc) t.by_command [],

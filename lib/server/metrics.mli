@@ -33,11 +33,6 @@ val conn_rejected : t -> unit
     newline-less flood, or reply-backlog overflow). Per-process only. *)
 val conn_dropped : t -> unit
 
-(** Count [n] requests answered from a shared batch pass (the select
-    loop coalesced same-graph queries into one refinement/profile).
-    Per-process only, like the connection-governance counters. *)
-val add_coalesced : t -> int -> unit
-
 (** A copyable view of the cumulative counters, for snapshots. *)
 type counters = {
   c_requests : int;

@@ -7,18 +7,19 @@
    concurrent clients run on the domain pool in parallel while replies
    are queued back in arrival order per connection. A client that stops
    reading stalls only itself (and is dropped past the out-buffer cap).
-   Handlers are pure apart from the mutex-guarded caches/metrics/registry,
-   and any Pool entry point a kernel reaches from a worker domain
-   degrades to its sequential fallback (the pool's nesting rule), so
-   batch dispatch is safe for every pool size.
+   Handlers are pure apart from the mutex-guarded caches/metrics/registry
+   (kernels run outside the cache lock, see {!Cache}), and any Pool entry
+   point a kernel reaches from a worker domain degrades to its sequential
+   fallback (the pool's nesting rule), so batch dispatch is safe for
+   every pool size.
 
    Timeouts are cooperative at two granularities: the deadline is
    checked between pipeline stages (after plan lookup, before
    evaluation), and threaded into the long kernels themselves — colour
-   refinement and k-WL check it once per round, hom profiles once per
-   pattern — so a request that blows --timeout inside a kernel aborts
-   with ERR_DEADLINE instead of running to completion. The
-   [max_table_cells] guard rejects queries whose materialisation is
+   refinement checks it once per round, k-WL every 1,024 tuples, hom
+   profiles once per pattern — so a request that blows --timeout inside
+   a kernel aborts with ERR_DEADLINE instead of running to completion.
+   The [max_table_cells] guard rejects queries whose materialisation is
    hopeless upfront, and HOM carries an analogous cost estimate.
 
    Resource governance (enforced by {!Conn_loop}): accepts beyond
@@ -39,7 +40,6 @@ module Normal_form = Glql_gel.Normal_form
 module Cr = Glql_wl.Color_refinement
 module Kwl = Glql_wl.Kwl
 module Tree = Glql_hom.Tree
-module Count = Glql_hom.Count
 module Pool = Glql_util.Pool
 module Clock = Glql_util.Clock
 module Trace = Glql_util.Trace
@@ -281,8 +281,6 @@ let wl_result t deadline graph_name rounds =
          ("coloring_cache", hit_tag hit);
        ])
 
-(* The argument and budget checks of KWL and HOM are shared with the
-   batch prewarm, which must skip exactly what the handlers reject. *)
 let kwl_guard t g k =
   let n = Graph.n_vertices g in
   if k < 1 || k > 3 then fail "ERR_BAD_ARG" "KWL: k must be between 1 and 3"
@@ -308,14 +306,6 @@ let kwl_result t deadline graph_name k =
          ("coloring_cache", hit_tag hit);
        ])
 
-(* Hom profiles computed once for a whole select-loop batch: graph name
-   -> (generation, max tree size, full profile at that size).
-   [Tree.all_free_trees_up_to] enumerates patterns in size order, so the
-   profile for any smaller size is a prefix of a stored larger one. The
-   table is built before the batch fans out and only read afterwards, so
-   the parallel handlers share it without locking. *)
-type shared = (string, int * int * float array) Hashtbl.t
-
 (* The tree patterns of a HOM profile, once the size and cost checks pass. *)
 let hom_patterns t g max_size =
   let* () =
@@ -340,18 +330,11 @@ let hom_patterns t g max_size =
       cost npat max_size work t.config.max_table_cells
   else Ok patterns
 
-let hom_result t deadline ~(shared : shared) graph_name max_size =
+let hom_result t deadline graph_name max_size =
   let* g, gen = tag "ERR_UNKNOWN_GRAPH" (Registry.find_entry t.registry graph_name) in
   let* patterns = hom_patterns t g max_size in
   let* () = check_deadline deadline "hom-profile computation" in
-  let profile =
-    match Hashtbl.find_opt shared graph_name with
-    | Some (sgen, ssize, full) when sgen = gen && ssize >= max_size ->
-        (* Same graph generation and the shared pass covered at least
-           this size: the requested profile is a prefix. *)
-        Array.sub full 0 (List.length patterns)
-    | _ -> Count.profile ~deadline patterns g
-  in
+  let profile = Cache.hom t.cache ~graph_name ~gen ~size:max_size ~deadline patterns g in
   Ok
     (P.Obj
        [
@@ -618,7 +601,7 @@ let version_fields =
     ("protocol_version", P.Int P.protocol_version);
   ]
 
-let dispatch t deadline ~shared ~sink ~t0 req =
+let dispatch t deadline ~sink ~t0 req =
   match req with
   | P.Hello -> Ok (P.Obj (version_fields @ [ ("pool_domains", P.Int (Pool.size ())) ]))
   | P.Version -> Ok (P.Obj version_fields)
@@ -656,7 +639,7 @@ let dispatch t deadline ~shared ~sink ~t0 req =
       Ok (explain_json ~t0 (Trace.spans sink) reply)
   | P.Wl (graph, rounds) -> wl_result t deadline graph rounds
   | P.Kwl (graph, k) -> kwl_result t deadline graph k
-  | P.Hom (graph, size) -> hom_result t deadline ~shared graph size
+  | P.Hom (graph, size) -> hom_result t deadline graph size
   | P.Featurize (graph, recipe, mode) -> featurize_result t deadline graph recipe mode
   | P.Train spec -> train_result t deadline spec
   | P.Predict (model, graph, vertices) -> predict_result t deadline model graph vertices
@@ -717,27 +700,25 @@ let dispatch t deadline ~shared ~sink ~t0 req =
       stop t;
       Ok (P.Str "shutting down")
 
-(* A span sink feeding the cumulative per-stage histograms in STATS. *)
-let stage_sink ?keep_spans t =
-  Trace.make_sink ?keep_spans
-    ~on_span:(fun sp ->
-      Metrics.record_stage t.metrics ~stage:sp.Trace.name ~dur_ns:(Int64.to_int sp.Trace.dur_ns))
-    ()
-
 let attach_trace ~t0 sink j =
   let trace = Trace.spans_to_json ~origin_ns:t0 (Trace.spans sink) in
   match j with
   | P.Obj fields -> P.Obj (fields @ [ ("trace", trace) ])
   | other -> P.Obj [ ("value", other); ("trace", trace) ]
 
-let handle_request t ~shared parsed =
+let handle_request t parsed =
   let t0 = Clock.now_ns () in
   let deadline = Clock.deadline_after t.config.request_timeout_s in
   (* Every request gets a span sink: it feeds the cumulative per-stage
      histograms in STATS, answers the TRACE option, and gives EXPLAIN
      its stage breakdown. Spans opened on pool workers land here too
      (Pool propagates the trace context). *)
-  let sink = stage_sink ~keep_spans:true t in
+  let sink =
+    Trace.make_sink ~keep_spans:true
+      ~on_span:(fun sp ->
+        Metrics.record_stage t.metrics ~stage:sp.Trace.name ~dur_ns:(Int64.to_int sp.Trace.dur_ns))
+      ()
+  in
   let reply, command, ok =
     match parsed with
     | Error e -> (P.err_line (P.error ~code:"ERR_PARSE" e), "INVALID", false)
@@ -746,7 +727,7 @@ let handle_request t ~shared parsed =
         let run () =
           Trace.with_sink sink (fun () ->
               Trace.with_span ~args:[ ("command", command) ] "request" (fun () ->
-                  dispatch t deadline ~shared ~sink ~t0 req))
+                  dispatch t deadline ~sink ~t0 req))
         in
         match run () with
         | Ok j ->
@@ -769,133 +750,15 @@ let handle_request t ~shared parsed =
   Metrics.record t.metrics ~command ~ok ~latency_ns:(Clock.elapsed_ns t0);
   reply
 
-
-(* --- server-side query batching ------------------------------------------ *)
-
-(* Scan a batch of request lines and coalesce the requests that share a
-   graph pass: two or more WL requests on one graph need one refinement
-   (every round is answered from the refinement history), two or more
-   KWL requests on one (graph, k) need one k-WL run, and HOM requests on
-   one graph share a single profile at the largest requested size. The
-   shared passes run here, before the batch fans out — WL/k-WL land in
-   the coloring cache (so the per-request handlers hit), profiles go
-   into the returned [shared] table. Groups of one are left alone: the
-   request computes (and reports its cache tag) exactly as before.
-
-   Guards mirror the per-request handlers — a pass that any member would
-   reject (k range, cell/cost limits) is not prewarmed, and failures
-   (unknown graph, deadline) are swallowed so each request still
-   produces its own structured error. Correctness does not depend on
-   this phase at all: it only warms caches the handlers consult under
-   their own (name, generation) keys. *)
-let plan_batch t parsed =
-  let wl = Hashtbl.create 4 and kwl = Hashtbl.create 4 and hom = Hashtbl.create 4 in
-  let bump tbl key =
-    Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-  in
-  (* FEATURIZE / TRAIN / PREDICT requests whose recipe pulls colorings
-     join the WL/k-WL groups: a batch of featurizations over one graph —
-     or a WL request next to a FEATURIZE that one-hots the same coloring
-     — runs one refinement. PREDICT recipes come from the model registry
-     (a batched PREDICT contributes every graph of its corpus); an
-     unknown model simply contributes nothing. *)
-  let bump_recipe names recipe =
-    match Featurize.parse_recipe recipe with
-    | Error _ -> ()
-    | Ok cols ->
-        List.iter
-          (fun name ->
-            if Featurize.wants_wl cols then bump wl name;
-            List.iter (fun k -> bump kwl (name, k)) (Featurize.wants_kwl cols))
-          names
-  in
-  Array.iter
-    (function
-      | Ok { P.req = P.Wl (name, _); _ } -> bump wl name
-      | Ok { P.req = P.Kwl (name, k); _ } -> bump kwl (name, k)
-      | Ok { P.req = P.Hom (name, size); _ } ->
-          let count, max_size = Option.value ~default:(0, 0) (Hashtbl.find_opt hom name) in
-          Hashtbl.replace hom name (count + 1, max size max_size)
-      | Ok { P.req = P.Featurize (name, recipe, _); _ } -> bump_recipe [ name ] recipe
-      | Ok { P.req = P.Train spec; _ } -> bump_recipe spec.P.t_graphs spec.P.t_recipe
-      | Ok { P.req = P.Predict (model, name, _); _ } -> (
-          match Models.find t.models model with
-          | Some m -> bump_recipe [ name ] m.Models.sm_recipe
-          | None -> ())
-      | Ok { P.req = P.Predict_batch (model, names); _ } -> (
-          match Models.find t.models model with
-          | Some m -> bump_recipe names m.Models.sm_recipe
-          | None -> ())
-      | _ -> ())
-    parsed;
-  let sorted_groups tbl keep =
-    Hashtbl.fold (fun k v acc -> if keep v then (k, v) :: acc else acc) tbl []
-    |> List.sort compare
-  in
-  let wl_groups = sorted_groups wl (fun count -> count >= 2) in
-  let kwl_groups = sorted_groups kwl (fun count -> count >= 2) in
-  let hom_groups = sorted_groups hom (fun (count, _) -> count >= 2) in
-  let shared : shared = Hashtbl.create 4 in
-  let coalesced =
-    List.fold_left (fun acc (_, c) -> acc + c) 0 wl_groups
-    + List.fold_left (fun acc (_, c) -> acc + c) 0 kwl_groups
-    + List.fold_left (fun acc (_, (c, _)) -> acc + c) 0 hom_groups
-  in
-  if coalesced > 0 then begin
-    let deadline = Clock.deadline_after t.config.request_timeout_s in
-    (* Skippable by design: any failure (unknown graph, guard, deadline)
-       leaves the corresponding requests to run — and report — solo. *)
-    let with_graph name f =
-      try Result.iter (fun (g, gen) -> f g gen) (Registry.find_entry t.registry name) with _ -> ()
-    in
-    (* The prewarm runs outside any per-request sink, so give it one:
-       kernel spans (wl.refine, kwl.refine, hom.profile, csr.build) must
-       land in the STATS stage histograms exactly like per-request work. *)
-    Trace.with_sink (stage_sink t) (fun () ->
-        Trace.with_span
-          ~args:
-            [
-              ("requests", string_of_int coalesced);
-              ( "passes",
-                string_of_int
-                  (List.length wl_groups + List.length kwl_groups + List.length hom_groups) );
-            ]
-          "batch.coalesce"
-        @@ fun () ->
-        List.iter
-          (fun (name, _) ->
-            with_graph name (fun g gen ->
-                ignore (Cache.cr t.cache ~graph_name:name ~gen ~deadline g)))
-          wl_groups;
-        List.iter
-          (fun ((name, k), _) ->
-            with_graph name (fun g gen ->
-                if Result.is_ok (kwl_guard t g k) then
-                  ignore (Cache.kwl t.cache ~graph_name:name ~gen ~k ~deadline g)))
-          kwl_groups;
-        List.iter
-          (fun (name, (_, max_size)) ->
-            with_graph name (fun g gen ->
-                Result.iter
-                  (fun patterns ->
-                    Hashtbl.replace shared name (gen, max_size, Count.profile ~deadline patterns g))
-                  (hom_patterns t g max_size)))
-          hom_groups);
-    Metrics.add_coalesced t.metrics coalesced
-  end;
-  shared
-
-(* One select-loop batch: parse each line once, coalesce shared passes,
-   then fan the requests out on the pool. Returns the parsed requests
-   (the loop reads QUIT back from them) and the replies, in input order. *)
+(* One select-loop batch: parse each line once, then fan the requests out
+   on the pool. Returns the parsed requests (the loop reads QUIT back from
+   them) and the replies, in input order. *)
 let run_batch t lines =
   let parsed = Array.map P.parse_request lines in
-  let shared = plan_batch t parsed in
-  (parsed, Pool.parallel_map_array (handle_request t ~shared) parsed)
+  (parsed, Pool.parallel_map_array (handle_request t) parsed)
 
 let handle_lines t lines = snd (run_batch t lines)
 
-(* A batch of one never coalesces, so this is the plain pipeline. *)
 let handle_line t line = (handle_lines t [| line |]).(0)
 
 let log t fmt =
@@ -977,8 +840,8 @@ let serve t =
       retrain_stale_pass t
     end
   in
-  (* One pass's request lines go through the coalescing planner and the
-     pool; replies are queued in arrival order. *)
+  (* One pass's request lines fan out on the pool; replies are queued in
+     arrival order. *)
   let on_lines batch =
     let parsed, replies = run_batch t (Array.map snd batch) in
     Array.iteri

@@ -27,9 +27,9 @@ type config = {
           answers [stale:false] again *)
   request_timeout_s : float;
       (** cooperative per-request deadline; 0 = none. Checked between
-          pipeline stages and inside the WL / k-WL / hom kernels
-          (per round / per pattern), so overruns abort with
-          [ERR_DEADLINE] instead of running to completion *)
+          pipeline stages and inside the WL / k-WL / hom kernels (per
+          round / per 1,024 tuples / per pattern), so overruns abort
+          with [ERR_DEADLINE] instead of running to completion *)
   max_table_cells : int;
       (** reject queries materialising more cells; also bounds the k-WL
           tuple count and the HOM profile's DP-cost estimate *)
@@ -59,14 +59,12 @@ val create : config -> t
     line; never raises, always records metrics. *)
 val handle_line : t -> string -> string
 
-(** Handle one select-loop batch of request lines: requests sharing a
-    graph pass are coalesced first — one WL/k-WL refinement (or one hom
-    profile at the largest requested size) serves every matching request
-    in the batch, counted by the [batch_coalesced] STATS counter and
-    traced as a [batch.coalesce] span — then the lines fan out on the
-    domain pool. Replies are returned in input order; replies are
-    byte-identical to serving each line alone (modulo cache-hit tags,
-    which report the shared pass as a hit). *)
+(** Handle one select-loop batch of request lines: each line is parsed
+    once, then the lines fan out on the domain pool. Replies are returned
+    in input order and are byte-identical to serving each line alone,
+    except for cache-hit tags: requests that need the same colouring at
+    once share one computation through the {!Cache}'s single-flight
+    lookup, and only the one that computed it reports a miss. *)
 val handle_lines : t -> string array -> string array
 
 (** The server's caches (for stats inspection and bench cache-clearing). *)

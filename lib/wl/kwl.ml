@@ -93,8 +93,11 @@ let initial_colors interner label_interner g k =
    key strings are built in parallel over tuple indices (pure), then
    interned sequentially in increasing index order — the exact call
    sequence the one-phase implementation made, so interned ids (and
-   hence colourings) are identical for every pool size. *)
-let refine_graph interner variant g k colors =
+   hence colourings) are identical for every pool size. A round costs
+   O(n^(k+1)), so for k >= 2 the deadline is also checked every 1,024
+   tuple indices inside it; a check only raises, so colours never depend
+   on it. *)
+let refine_graph ~deadline interner variant g k colors =
   let n = Graph.n_vertices g in
   let csr = Graph.csr g in
   let adjacency = csr.Graph.Csr.adjacency and coffsets = csr.Graph.Csr.offsets in
@@ -121,6 +124,7 @@ let refine_graph interner variant g k colors =
     let count = tuple_count n k in
     let keys = Array.make count "" in
     Pool.parallel_for ~n:count (fun idx ->
+        if idx land 1023 = 0 then Glql_util.Clock.check deadline;
         let t = decode_tuple ~n ~k idx in
         let buf = Buffer.create 64 in
         Buffer.add_string buf (string_of_int colors.(idx));
@@ -174,11 +178,10 @@ let run_joint ?max_rounds ?(deadline = None) ~k ~variant graphs =
   in
   let continue_ = ref true in
   while !continue_ && !rounds < limit do
-    (* Cooperative cancellation: rounds cost O(n^{k+1}) each, so a
-       per-round check is the coarsest granularity that still lets a
-       request timeout bound wall time. *)
+    (* Cooperative cancellation: once per round here, and inside each
+       round's tuple loop (see [refine_graph]). *)
     Glql_util.Clock.check deadline;
-    let next = List.map (fun (g, colors) -> refine_graph interner variant g k colors)
+    let next = List.map (fun (g, colors) -> refine_graph ~deadline interner variant g k colors)
         (List.combine graphs !current)
     in
     let count' = joint_color_count next in

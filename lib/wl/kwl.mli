@@ -11,7 +11,8 @@ type result
 (** Refine all graphs jointly until the tuple partition stabilises.
     Cost is O(n^k) tuples per graph and O(n^{k+1}) work per round.
     [deadline] ({!Glql_util.Clock} monotonic deadline) is checked once
-    per round; when past, refinement aborts by raising
+    per round and, for [k >= 2], every 1,024 tuples inside a round; when
+    past, refinement aborts by raising
     [Glql_util.Clock.Deadline_exceeded]. *)
 val run_joint :
   ?max_rounds:int -> ?deadline:int64 option -> k:int -> variant:variant -> Graph.t list -> result

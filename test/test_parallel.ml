@@ -624,6 +624,117 @@ let test_gel_concurrent_analyses =
           d = d' && fv = fv' && Array.for_all2 float_array_eq t t')
         par seq)
 
+(* --- single-flight cache ---------------------------------------------------- *)
+
+module Clock = Glql_util.Clock
+module Trace = Glql_util.Trace
+module Graph = Glql_graph.Graph
+
+let spec_graph spec = match SRegistry.graph_of_spec spec with Ok g -> g | Error e -> failwith e
+
+let cache_stat cache name = List.assoc name (SCache.stats cache)
+
+let fresh_cache () = SCache.create ~plan_capacity:16 ~coloring_capacity:8 ()
+
+(* Run [f] on a new domain. Pool entry points belong to the main domain,
+   so the domain's kernels run sequentially. *)
+let spawn f = Domain.spawn (fun () -> Pool.sequential f)
+
+(* Wait until the cache has counted [n] colouring misses: an asker's miss
+   is counted as it marks its key in flight. *)
+let await_misses cache n =
+  let t0 = Clock.now_ns () in
+  while cache_stat cache "coloring_misses" < n do
+    if Clock.ns_to_s (Clock.elapsed_ns t0) > 10.0 then Alcotest.fail "no asker claimed the key";
+    Domain.cpu_relax ()
+  done
+
+(* A cold k-WL runs with the cache lock released: while it is still
+   running on another domain, a cold plan lookup returns at once. *)
+let test_lookup_beside_cold_kwl () =
+  let cache = fresh_cache () in
+  let g = spec_graph "grid12x12" in
+  let started = Atomic.make false and finished = Atomic.make false in
+  let owner =
+    spawn (fun () ->
+        Atomic.set started true;
+        ignore (SCache.kwl cache ~graph_name:"g" ~gen:0 ~k:2 g);
+        Atomic.set finished true)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  Unix.sleepf 0.1;
+  let t0 = Clock.now_ns () in
+  let plan = SCache.plan cache "agg_sum{x2}(lab0(x2) | E(x1,x2))" in
+  let ms = Clock.ns_to_ms (Clock.elapsed_ns t0) in
+  let kwl_running = not (Atomic.get finished) in
+  Domain.join owner;
+  Alcotest.(check bool) (Printf.sprintf "plan lookup under 50 ms (took %.1f ms)" ms) true (ms < 50.0);
+  Alcotest.(check bool) "k-WL still running when the plan returned" true kwl_running;
+  Alcotest.(check bool) "plan compiled" true (Result.is_ok plan)
+
+(* Two domains ask for one k-WL key: one kernel run, one [`Miss] and one
+   [`Hit], and one lookup counted as waiting. *)
+let test_two_askers_one_compute () =
+  let cache = fresh_cache () in
+  let g = spec_graph "grid10x10" in
+  let refines = Atomic.make 0 in
+  let sink =
+    Trace.make_sink ~on_span:(fun sp -> if sp.Trace.name = "kwl.refine" then Atomic.incr refines) ()
+  in
+  let ask () =
+    Trace.with_sink sink (fun () -> SCache.kwl cache ~graph_name:"g" ~gen:0 ~k:2 g)
+  in
+  let first = spawn ask in
+  await_misses cache 1;
+  let r2, tag2 = Pool.sequential ask in
+  let r1, tag1 = Domain.join first in
+  Alcotest.(check int) "one kwl.refine span" 1 (Atomic.get refines);
+  Alcotest.(check bool) "first asker computed" true (tag1 = `Miss);
+  Alcotest.(check bool) "second asker hit" true (tag2 = `Hit);
+  Alcotest.(check bool) "same result" true (r1 == r2);
+  Alcotest.(check int) "one lookup waited" 1 (cache_stat cache "batch_coalesced")
+
+(* An owner whose deadline fires caches nothing: a CR seed it was
+   recolouring from stays for the next asker, and a waiter on a failed
+   owner computes the value itself. *)
+let test_failed_owner_caches_nothing () =
+  let cache = fresh_cache () in
+  let g = spec_graph "cycle100" in
+  ignore (SCache.cr cache ~graph_name:"g" ~gen:0 g);
+  SCache.note_mutation cache ~graph_name:"g" ~old_gen:0 ~gen:1 ~touched_adj:[ 0; 2 ] ~touched_lab:[];
+  let g' = Graph.mutate g ~add_edges:[ (0, 2) ] ~del_edges:[] ~set_labels:[] in
+  let expired = Some (Int64.sub (Clock.now_ns ()) 1L) in
+  (match SCache.cr cache ~graph_name:"g" ~gen:1 ~deadline:expired g' with
+  | _ -> Alcotest.fail "an expired owner must raise"
+  | exception Clock.Deadline_exceeded -> ());
+  Alcotest.(check int) "seed still present" 1 (cache_stat cache "seed_entries");
+  Alcotest.(check int) "nothing but the seed cached" 1 (cache_stat cache "coloring_entries");
+  let r, tag = SCache.cr cache ~graph_name:"g" ~gen:1 g' in
+  Alcotest.(check bool) "next asker computes" true (tag = `Miss);
+  Alcotest.(check int) "seed consumed" 0 (cache_stat cache "seed_entries");
+  Alcotest.(check int) "recoloured from the seed" 1
+    (cache_stat cache "incremental_recolors" + cache_stat cache "incremental_fallbacks");
+  Alcotest.(check bool) "same colours as a cold run" true
+    (Cr.stable_colors r = Cr.stable_colors (Cr.run g'));
+  (* A waiter on an owner that runs out of time. *)
+  let h = spec_graph "grid10x10" in
+  let misses = cache_stat cache "coloring_misses" in
+  let owner =
+    spawn (fun () ->
+        match SCache.kwl cache ~graph_name:"h" ~gen:0 ~k:2 ~deadline:(Clock.deadline_after 0.1) h with
+        | _ -> false
+        | exception Clock.Deadline_exceeded -> true)
+  in
+  await_misses cache (misses + 1);
+  let waiter = Pool.sequential (fun () -> SCache.kwl cache ~graph_name:"h" ~gen:0 ~k:2 h) in
+  Alcotest.(check bool) "owner's deadline fired" true (Domain.join owner);
+  Alcotest.(check int) "the waiter waited" 1 (cache_stat cache "batch_coalesced");
+  Alcotest.(check bool) "the waiter computed" true (snd waiter = `Miss);
+  Alcotest.(check bool) "the value is cached now" true
+    (snd (SCache.kwl cache ~graph_name:"h" ~gen:0 ~k:2 h) = `Hit)
+
 let () =
   Alcotest.run "glql-parallel"
     [
@@ -667,4 +778,10 @@ let () =
         ] );
       ("featurize", [ test_featurize_deterministic ]);
       ("gel", [ test_gel_concurrent_analyses ]);
+      ( "single-flight cache",
+        [
+          case "lookup beside a cold k-WL" test_lookup_beside_cold_kwl;
+          case "two askers, one compute" test_two_askers_one_compute;
+          case "a failed owner caches nothing" test_failed_owner_caches_nothing;
+        ] );
     ]
