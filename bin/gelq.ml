@@ -141,15 +141,15 @@ let split_feat_mode arg =
 
 let run_featurize registry cache graph_name arg =
   let mode, recipe = split_feat_mode arg in
-  let g, gen =
-    match Registry.find_entry registry graph_name with Ok e -> e | Error msg -> die "%s" msg
+  let key, g, gen =
+    match Registry.find_binding registry graph_name with Ok e -> e | Error msg -> die "%s" msg
   in
   let cols =
     match Featurize.parse_recipe recipe with
     | Ok cols -> cols
     | Error msg -> die "ERR_BAD_RECIPE: %s" msg
   in
-  match Featurize.build ~cache ~graph_name ~gen mode g cols with
+  match Featurize.build ~cache ~graph_name:key ~gen mode g cols with
   | Error (code, msg) -> die "%s: %s" code msg
   | Ok b ->
       Printf.printf "features : %s (%s mode): %d rows x %d cols\n" graph_name

@@ -29,9 +29,9 @@ type plan = {
 (* A superseded-generation colouring kept briefly as the seed for
    incremental recolouring after a MUTATE: the pre-mutation result plus
    the accumulated touched-vertex frontier. Seeds live in the colouring
-   LRU under "crseed:<gen>:<name>" keys — counted against the byte
-   budget, inserted cold so they are evicted before any live entry, and
-   invisible to snapshot export (see [parse_coloring_key]). *)
+   LRU under [Seed] keys — counted against the byte budget, inserted cold
+   so they are evicted before any live entry, and never exported to a
+   snapshot. *)
 type seed = {
   seed_base : Cr.result;
   seed_touched_adj : int list;
@@ -42,6 +42,12 @@ type seed = {
    most [size] vertices, the largest size computed so far for the graph.
    Patterns come in size order, so a smaller size is served as a prefix. *)
 type coloring = C_cr of Cr.result | C_kwl of Kwl.result | C_seed of seed | C_hom of int * float array
+
+(* Colouring-cache key: the graph's name and registry generation, and
+   which kernel's result it holds. *)
+type coloring_kind = Cr | Seed | Kwl of int | Hom
+
+type coloring_key = { graph : string; gen : int; kind : coloring_kind }
 
 (* An assembled feature matrix, cached whole so a warm PREDICT (or a
    repeated FEATURIZE/TRAIN on an unchanged graph) skips column
@@ -64,11 +70,11 @@ type fm = {
 type feature_key = string * int * string * string
 
 (* A key whose kernel is running right now, outside the lock. *)
-type flight = F_coloring of string | F_feature of feature_key
+type flight = F_coloring of coloring_key | F_feature of feature_key
 
 type t = {
   plans : (string, plan) Lru.t;
-  colorings : (string, coloring) Lru.t;
+  colorings : (coloring_key, coloring) Lru.t;
   features : (feature_key, fm) Lru.t;
   mutex : Mutex.t;
   flights : (flight, unit) Hashtbl.t;
@@ -204,11 +210,9 @@ let put_coloring t key c = Lru.put ~bytes:(coloring_cost c) t.colorings key c
    name bumps the generation, so entries computed on the old graph are
    unreachable (and age out of the LRU) rather than served stale. *)
 
-let seed_key gen graph_name = Printf.sprintf "crseed:%d:%s" gen graph_name
-
 let cr t ~graph_name ~gen ?(deadline = None) g =
-  let key = Printf.sprintf "cr:%d:%s" gen graph_name in
-  let skey = seed_key gen graph_name in
+  let key = { graph = graph_name; gen; kind = Cr } in
+  let skey = { key with kind = Seed } in
   (* A MUTATE may have left the superseded colouring as a seed: recolour
      the frontier instead of refining cold. The seed is consumed when the
      recolouring lands, even on a fallback (it cannot help this
@@ -235,7 +239,7 @@ let cr t ~graph_name ~gen ?(deadline = None) g =
       r)
 
 let kwl t ~graph_name ~gen ~k ?(deadline = None) g =
-  let key = Printf.sprintf "kwl:%d:%d:%s" k gen graph_name in
+  let key = { graph = graph_name; gen; kind = Kwl k } in
   coloring_flight t key ~deadline
     ~find:(fun () -> match Lru.get t.colorings key with Some (C_kwl r) -> Some r | _ -> None)
     ~compute:(fun () -> Kwl.run_joint ~deadline ~k ~variant:Kwl.Folklore [ g ])
@@ -244,7 +248,7 @@ let kwl t ~graph_name ~gen ~k ?(deadline = None) g =
       r)
 
 let hom t ~graph_name ~gen ~size ?(deadline = None) patterns g =
-  let key = Printf.sprintf "hom:%d:%s" gen graph_name in
+  let key = { graph = graph_name; gen; kind = Hom } in
   let npat = List.length patterns in
   fst
     (coloring_flight t key ~deadline
@@ -282,31 +286,6 @@ type exported_coloring =
   | E_cr of { graph_name : string; gen : int; result : Cr.result }
   | E_kwl of { graph_name : string; gen : int; k : int; result : Kwl.result }
 
-(* Colouring keys are "cr:<gen>:<name>" / "kwl:<k>:<gen>:<name>" /
-   "hom:<gen>:<name>"; the name comes last so it may itself contain
-   colons. *)
-let parse_coloring_key key =
-  match String.index_opt key ':' with
-  | None -> None
-  | Some i -> (
-      let kind = String.sub key 0 i in
-      let rest = String.sub key (i + 1) (String.length key - i - 1) in
-      let split_int s =
-        match String.index_opt s ':' with
-        | None -> None
-        | Some j ->
-            Option.map
-              (fun n -> (n, String.sub s (j + 1) (String.length s - j - 1)))
-              (int_of_string_opt (String.sub s 0 j))
-      in
-      match kind with
-      | "cr" -> Option.map (fun (gen, name) -> `Cr (gen, name)) (split_int rest)
-      | "hom" -> Option.map (fun (gen, name) -> `Hom (gen, name)) (split_int rest)
-      | "kwl" ->
-          Option.bind (split_int rest) (fun (k, rest) ->
-              Option.map (fun (gen, name) -> `Kwl (k, gen, name)) (split_int rest))
-      | _ -> None)
-
 (* --- mutation turnover ---------------------------------------------- *)
 
 let merge_touched a b = List.sort_uniq compare (List.rev_append a b)
@@ -320,8 +299,8 @@ let merge_touched a b = List.sort_uniq compare (List.rev_append a b)
    than left to age out. *)
 let note_mutation t ~graph_name ~old_gen ~gen ~touched_adj ~touched_lab =
   with_lock t (fun () ->
-      let old_cr = Printf.sprintf "cr:%d:%s" old_gen graph_name in
-      let old_seed = seed_key old_gen graph_name in
+      let old_cr = { graph = graph_name; gen = old_gen; kind = Cr } in
+      let old_seed = { old_cr with kind = Seed } in
       let seed =
         match Lru.peek t.colorings old_cr with
         | Some (C_cr r) ->
@@ -342,14 +321,9 @@ let note_mutation t ~graph_name ~old_gen ~gen ~touched_adj ~touched_lab =
                   }
             | _ -> None)
       in
-      Lru.remove t.colorings old_cr;
-      Lru.remove t.colorings old_seed;
       List.iter
         (fun key ->
-          match parse_coloring_key key with
-          | Some (`Kwl (_, g, n) | `Hom (g, n)) when g = old_gen && n = graph_name ->
-              Lru.remove t.colorings key
-          | _ -> ())
+          if key.graph = graph_name && key.gen = old_gen then Lru.remove t.colorings key)
         (Lru.keys_mru_first t.colorings);
       List.iter
         (fun ((name, g, _, _) as key) ->
@@ -359,16 +333,16 @@ let note_mutation t ~graph_name ~old_gen ~gen ~touched_adj ~touched_lab =
       | None -> ()
       | Some s ->
           let c = C_seed s in
-          Lru.put_cold ~bytes:(coloring_cost c) t.colorings (seed_key gen graph_name) c)
+          let key = { graph = graph_name; gen; kind = Seed } in
+          Lru.put_cold ~bytes:(coloring_cost c) t.colorings key c)
 
 let export_colorings t =
   with_lock t (fun () ->
       List.filter_map
-        (fun (key, c) ->
-          match (parse_coloring_key key, c) with
-          | Some (`Cr (gen, graph_name)), C_cr result -> Some (E_cr { graph_name; gen; result })
-          | Some (`Kwl (k, gen, graph_name)), C_kwl result ->
-              Some (E_kwl { graph_name; gen; k; result })
+        (fun ({ graph = graph_name; gen; kind }, c) ->
+          match (kind, c) with
+          | Cr, C_cr result -> Some (E_cr { graph_name; gen; result })
+          | Kwl k, C_kwl result -> Some (E_kwl { graph_name; gen; k; result })
           | _ -> None)
         (Lru.bindings_mru_first t.colorings))
 
@@ -393,10 +367,10 @@ let seed_coloring t key c =
       if not (Lru.mem t.colorings key) then Lru.put ~bytes:(coloring_cost c) t.colorings key c)
 
 let seed_cr t ~graph_name ~gen result =
-  seed_coloring t (Printf.sprintf "cr:%d:%s" gen graph_name) (C_cr result)
+  seed_coloring t { graph = graph_name; gen; kind = Cr } (C_cr result)
 
 let seed_kwl t ~graph_name ~gen ~k result =
-  seed_coloring t (Printf.sprintf "kwl:%d:%d:%s" k gen graph_name) (C_kwl result)
+  seed_coloring t { graph = graph_name; gen; kind = Kwl k } (C_kwl result)
 
 let stats t =
   with_lock t (fun () ->

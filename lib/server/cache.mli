@@ -6,11 +6,13 @@
     single-variable MPNN-sum queries, the layered normal form used by the
     fast evaluator).
 
-    {b Colouring cache}: LRU from (graph name, registry generation) to
-    stable colour-refinement / k-WL results, reused across requests and
-    across round counts (a stable run answers every smaller-round request
-    from its history). Keying by generation means a LOAD that replaces a
-    name never has its colourings answered from the old graph's entries.
+    {b Colouring cache}: LRU from (graph name, registry generation,
+    kernel) to stable colour-refinement / k-WL results and hom profiles,
+    reused across requests and across round counts (a stable run answers
+    every smaller-round request from its history). Keying by generation
+    means a LOAD that replaces a name never has its colourings answered
+    from the old graph's entries; since a name's generations never repeat
+    (see {!Registry.register}), the pair names one graph.
 
     All entry points are thread-safe. Plans compile under the cache lock.
     Every other miss is {e single-flight}: the asker marks the key in
@@ -68,7 +70,7 @@ val create :
 val plan : t -> string -> (plan * [ `Hit | `Miss ], string) result
 
 (** Stable colour refinement of the named graph, cached per
-    (name, registry generation) — see {!Registry.find_entry}.
+    (binding key, registry generation) — see {!Registry.find_binding}.
     [deadline] is threaded into the kernel on a miss; a cancelled
     compute raises [Glql_util.Clock.Deadline_exceeded] out of the
     lookup with nothing cached.
@@ -102,10 +104,10 @@ val hom :
 (** Record a generation turnover after a successful MUTATE: the
     superseded generation's cached colouring (or its not-yet-consumed
     seed — mutations can stack) becomes the incremental-recolouring seed
-    for [gen], stored cold under ["crseed:<gen>:<name>"] so it counts
-    against the colouring byte budget but is evicted before any live
-    entry. Stale entries keyed to [old_gen] (k-WL and hom profiles
-    included) are removed eagerly.
+    for [gen], stored cold so it counts against the colouring byte
+    budget but is evicted before any live entry. Every other colouring
+    entry of [old_gen] (k-WL and hom profiles included) is removed
+    eagerly.
     [touched_adj] / [touched_lab] are the frontier vertices from
     {!Registry.mutation_outcome}. *)
 val note_mutation :

@@ -33,7 +33,7 @@ type stored = {
   sm_recipe : string;
   sm_target : string;
   sm_schema : string;
-  sm_sources : (string * int) list;  (* graph name, generation at fit time *)
+  sm_sources : (string * int) list;  (* binding key, generation at fit time *)
   sm_sizes : int list;
   sm_seed : int;
   sm_params : (int * int * float array) list;  (* rows, cols, row-major data *)
@@ -181,15 +181,15 @@ let train ~registry ~cache ~models ?(deadline = None) ?(max_cells = 0) (spec : P
     | [] -> Ok (List.rev acc)
     | name :: rest ->
         Clock.check deadline;
-        let* g, gen =
-          Result.map_error (fun m -> ("ERR_UNKNOWN_GRAPH", m)) (Registry.find_entry registry name)
+        let* key, g, gen =
+          Result.map_error (fun m -> ("ERR_UNKNOWN_GRAPH", m)) (Registry.find_binding registry name)
         in
-        let* built = Featurize.build ~cache ~graph_name:name ~gen ~deadline ~max_cells mode g cols in
+        let* built = Featurize.build ~cache ~graph_name:key ~gen ~deadline ~max_cells mode g cols in
         let* targets = target_values ~cache ~deadline mode g spec.t_target in
         if Array.length targets <> Array.length built.Featurize.b_rows then
           fail "ERR_INTERNAL" "TARGET produced %d values for %d rows" (Array.length targets)
             (Array.length built.Featurize.b_rows)
-        else featurize_all ((name, gen, built, targets) :: acc) rest
+        else featurize_all ((key, gen, built, targets) :: acc) rest
   in
   let* parts = featurize_all [] spec.t_graphs in
   let schema = match parts with (_, _, b, _) :: _ -> b.Featurize.b_schema | [] -> "" in
@@ -269,14 +269,14 @@ let predict ~registry ~cache ~models ?(deadline = None) ?(max_cells = 0) ~model 
     | Some m -> Ok m
     | None -> fail "ERR_UNKNOWN_MODEL" "unknown model %S (TRAIN it first, or see MODELS)" model
   in
-  let* g, gen =
-    Result.map_error (fun m -> ("ERR_UNKNOWN_GRAPH", m)) (Registry.find_entry registry graph)
+  let* key, g, gen =
+    Result.map_error (fun m -> ("ERR_UNKNOWN_GRAPH", m)) (Registry.find_binding registry graph)
   in
   let* cols =
     Result.map_error (fun m -> ("ERR_BAD_RECIPE", m)) (Featurize.parse_recipe stored.sm_recipe)
   in
   let* built =
-    Featurize.build ~cache ~graph_name:graph ~gen ~deadline ~max_cells stored.sm_mode g cols
+    Featurize.build ~cache ~graph_name:key ~gen ~deadline ~max_cells stored.sm_mode g cols
   in
   let* () =
     if built.Featurize.b_schema <> stored.sm_schema then
@@ -321,7 +321,7 @@ let predict ~registry ~cache ~models ?(deadline = None) ?(max_cells = 0) ~model 
      stale bit still means exactly "a training source whose generation
      moved on". *)
   let stale, unseen =
-    match List.assoc_opt graph stored.sm_sources with
+    match List.assoc_opt key stored.sm_sources with
     | Some g0 -> (g0 <> gen, false)
     | None -> (false, true)
   in

@@ -1,9 +1,8 @@
 (* Save/restore glue between the live server structures and the pure
    Snapshot codecs. Save only exports colourings whose generation still
    matches the registry binding (anything else is stale by definition);
-   restore registers graphs under fresh generations and rekeys the
-   colourings accordingly, so generation-based staleness checks keep
-   working across process lives. *)
+   restore binds each graph at its saved generation, so a fresh process
+   uses every colouring and model source of the file as written. *)
 
 module Snapshot = Glql_store.Snapshot
 module Trace = Glql_util.Trace
@@ -40,7 +39,7 @@ let model_to_snapshot (m : Models.stored) =
     m_test_metric = m.Models.sm_test_metric;
   }
 
-let model_of_snapshot ~rekey (m : Snapshot.model_entry) =
+let model_of_snapshot ~follow (m : Snapshot.model_entry) =
   {
     Models.sm_name = m.Snapshot.m_name;
     sm_task = (if m.Snapshot.m_task = 0 then Models.Classify else Models.Regress);
@@ -48,7 +47,7 @@ let model_of_snapshot ~rekey (m : Snapshot.model_entry) =
     sm_recipe = m.Snapshot.m_recipe;
     sm_target = m.Snapshot.m_target;
     sm_schema = m.Snapshot.m_schema;
-    sm_sources = List.map rekey m.Snapshot.m_sources;
+    sm_sources = List.map follow m.Snapshot.m_sources;
     sm_sizes = m.Snapshot.m_sizes;
     sm_seed = m.Snapshot.m_seed;
     sm_params = m.Snapshot.m_params;
@@ -135,28 +134,42 @@ let restore ~registry ~cache ~models ~metrics path =
   match Snapshot.read_file path with
   | Error _ as e -> e
   | Ok snap ->
-      (* The decode above validated everything; only now touch live state. *)
+      (* The decode above validated everything; only now touch live state.
+         Each graph binds at its saved generation unless this process
+         already bound the name at that generation or later; then it
+         binds one past the live one, and the file's entries at the saved
+         generation follow the binding. Older model sources stay older,
+         so a model stale at save time stays stale. *)
       let gens =
         List.map
           (fun e ->
+            let saved = e.Snapshot.g_gen in
             ( e.Snapshot.g_name,
-              Registry.register_prebuilt registry ~name:e.Snapshot.g_name
-                ~spec:e.Snapshot.g_spec e.Snapshot.g_graph ))
+              ( saved,
+                Registry.register_prebuilt registry ~name:e.Snapshot.g_name
+                  ~spec:e.Snapshot.g_spec ~gen:saved e.Snapshot.g_graph ) ))
           snap.Snapshot.graphs
       in
+      (* A model source names a graph of the file, or, in files written
+         before sources were recorded by binding key, a spelling of one:
+         it resolves as in Registry.find_binding. A source the file does not
+         bind keeps its saved generation. *)
+      let follow (name, gen) =
+        let key = if List.mem_assoc name gens then name else Registry.canonical_spec name in
+        match List.assoc_opt key gens with
+        | Some (saved, bound) -> (key, if gen = saved then bound else gen)
+        | None -> (name, gen)
+      in
       (* Exports are MRU-first; seed in reverse so LRU recency carries
-         over into the new process. *)
-      let colorings_seeded = ref 0 in
+         over into the new process. Save wrote colourings of the saved
+         generations only, and decode rejects one naming a graph the file
+         lacks. *)
       List.iter
-        (fun ce ->
-          match List.assoc_opt ce.Snapshot.c_name gens with
-          | None -> () (* decode guarantees this cannot happen; belt and braces *)
-          | Some gen ->
-              incr colorings_seeded;
-              (match ce.Snapshot.c_data with
-              | Snapshot.Cr_data r -> Cache.seed_cr cache ~graph_name:ce.Snapshot.c_name ~gen r
-              | Snapshot.Kwl_data (k, r) ->
-                  Cache.seed_kwl cache ~graph_name:ce.Snapshot.c_name ~gen ~k r))
+        (fun { Snapshot.c_name = graph_name; c_data } ->
+          let gen = snd (List.assoc graph_name gens) in
+          match c_data with
+          | Snapshot.Cr_data r -> Cache.seed_cr cache ~graph_name ~gen r
+          | Snapshot.Kwl_data (k, r) -> Cache.seed_kwl cache ~graph_name ~gen ~k r)
         (List.rev snap.Snapshot.colorings);
       let plans_seeded = ref 0 in
       List.iter
@@ -168,29 +181,9 @@ let restore ~registry ~cache ~models ~metrics path =
           | Ok key' when key' = key -> incr plans_seeded
           | Ok _ | Error _ -> ())
         (List.rev snap.Snapshot.plans);
-      (* Models are rekeyed like colourings: a source that was current at
-         save time (its stored generation equals the graph entry's) maps
-         to the graph's fresh generation, so a warm restart is not
-         spuriously stale; a source that was already stale — or whose
-         graph is gone from the snapshot — maps to the -1 sentinel, which
-         can never equal a live generation. *)
-      let models_seeded = ref 0 in
-      (match models with
-      | None -> ()
-      | Some ms ->
-          let saved_gen_of name =
-            Option.map
-              (fun e -> e.Snapshot.g_gen)
-              (List.find_opt (fun e -> e.Snapshot.g_name = name) snap.Snapshot.graphs)
-          in
-          let rekey (name, gen) =
-            match (saved_gen_of name, List.assoc_opt name gens) with
-            | Some saved, Some fresh when saved = gen -> (name, fresh)
-            | _ -> (name, -1)
-          in
-          let restored = List.map (model_of_snapshot ~rekey) snap.Snapshot.models in
-          models_seeded := List.length restored;
-          Models.import ms restored);
+      Option.iter
+        (fun ms -> Models.import ms (List.map (model_of_snapshot ~follow) snap.Snapshot.models))
+        models;
       (match (metrics, snap.Snapshot.metrics) with
       | Some m, Some c -> Metrics.absorb m (counters_of_snapshot c)
       | _ -> ());
@@ -198,9 +191,9 @@ let restore ~registry ~cache ~models ~metrics path =
       Ok
         {
           s_graphs = List.length snap.Snapshot.graphs;
-          s_colorings = !colorings_seeded;
+          s_colorings = List.length snap.Snapshot.colorings;
           s_plans = !plans_seeded;
-          s_models = !models_seeded;
+          s_models = (if Option.is_none models then 0 else List.length snap.Snapshot.models);
           s_bytes = bytes;
           s_saved_at = snap.Snapshot.saved_at;
         }

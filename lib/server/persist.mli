@@ -4,13 +4,15 @@
     Invariants: {!save} exports only colourings whose generation still
     matches the current registry binding for their graph name; {!restore}
     validates the whole file first (a malformed snapshot returns [Error]
-    with registry, caches and metrics untouched), then registers the
-    graphs under {e fresh} generations and seeds the colourings under
-    those, so the server's generation-based staleness rules hold across
-    restarts. Plans are recompiled from their saved sources; one whose
-    recomputed canonical key differs from the recorded key is skipped.
-    Both directions run under [store.save] / [store.restore] trace
-    spans (plus per-section spans from the codecs). *)
+    with registry, caches and metrics untouched), then binds each graph
+    at its saved generation (see {!Registry.register_prebuilt}) and seeds
+    the colourings under it. In a process that has not bound the name
+    yet — a boot, a respawn, a shipped replica — every colouring and
+    model source of the file is used verbatim. Plans are recompiled from
+    their saved sources; one whose recomputed canonical key differs from
+    the recorded key is skipped. Both directions run under [store.save]
+    / [store.restore] trace spans (plus per-section spans from the
+    codecs). *)
 
 type summary = {
   s_graphs : int;
@@ -22,10 +24,13 @@ type summary = {
 }
 
 (** Trained models travel with the snapshot when [models] is passed:
-    {!save} exports the whole registry; {!restore} rekeys each model's
-    source generations to the fresh registry generations when the source
-    was current at save time, and to the [-1] never-matching sentinel
-    otherwise (so a model already stale at save time stays stale). *)
+    {!save} exports the whole registry. When {!restore} binds a graph
+    past its saved generation (a RESTORE onto a name this process
+    already bound at that generation or later), model sources at the
+    saved generation follow the binding; older sources stay older, so a
+    model stale at save time stays stale. A source that spells a spec the
+    file binds under its {!Registry.canonical_spec} (older files recorded
+    the client's spelling) is restored as that binding. *)
 
 val save :
   registry:Registry.t ->

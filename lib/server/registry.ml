@@ -1,9 +1,11 @@
 (* The server's graph registry and the generator-name table shared with
    bin/gelq. Specs are deterministic by construction (no random families),
-   so a spec names the same graph in every process. Each registration also
-   gets a monotonically increasing generation number: the colouring cache
-   keys entries by (name, generation), so re-LOADing a name can never
-   serve a colouring computed on the replaced graph.
+   so a spec names the same graph in every process. Each name carries its
+   own generation: 0 when first bound, one more on every re-binding or
+   applied MUTATE. The colouring cache keys entries by (name, generation),
+   so re-LOADing a name can never serve a colouring computed on the
+   replaced graph, and the number depends only on that name's history —
+   every topology and every restart from a snapshot report the same one.
 
    Spec sizes are checked *before* construction: a `LOAD g complete20000`
    is rejected upfront instead of materialising ~2e8 edges and then
@@ -161,7 +163,7 @@ let graph_of_spec ?(max_vertices = default_max_vertices) ?(max_edges = default_m
       | [] -> assert false)
 
 (* Canonical form of a spec string: atoms trimmed of surrounding blanks,
-   joined with a bare '+'. The fallback path of [find_entry] caches under
+   joined with a bare '+'. The fallback path of [find_binding] caches under
    this form, so "sbm10 + path3" and "sbm10+path3" share one entry (and
    one generation, hence one set of colouring-cache keys). *)
 let canonical_spec spec =
@@ -169,48 +171,52 @@ let canonical_spec spec =
 
 type entry = { graph : Graph.t; spec : string; gen : int }
 
-type t = {
-  tbl : (string, entry) Hashtbl.t;
-  mutable next_gen : int;
-  mutex : Mutex.t;
-}
+type t = { tbl : (string, entry) Hashtbl.t; mutex : Mutex.t }
 
-let create () = { tbl = Hashtbl.create 16; next_gen = 0; mutex = Mutex.create () }
+let create () = { tbl = Hashtbl.create 16; mutex = Mutex.create () }
 
 let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+
+(* Under the lock: bind [name] at one past its current generation (0
+   when new), or at [at_least] when that is later. Nothing unbinds a
+   name, so a name's generations only grow and none is ever reused. *)
+let bind ?(at_least = 0) t name ~spec graph =
+  let next = match Hashtbl.find_opt t.tbl name with Some e -> e.gen + 1 | None -> 0 in
+  let gen = max at_least next in
+  Hashtbl.replace t.tbl name { graph; spec; gen };
+  gen
 
 let register t ~name ~spec =
   Glql_util.Trace.with_span ~args:[ ("spec", spec) ] "load.graph" @@ fun () ->
   match graph_of_spec spec with
   | Error _ as e -> e
   | Ok g ->
-      with_lock t (fun () ->
-          let gen = t.next_gen in
-          t.next_gen <- gen + 1;
-          Hashtbl.replace t.tbl name { graph = g; spec = canonical_spec spec; gen });
+      ignore (with_lock t (fun () -> bind t name ~spec:(canonical_spec spec) g));
       Ok g
 
-(* Bind an already-constructed graph (the snapshot-restore path: the
-   graph was decoded from disk, not built from its spec). *)
-let register_prebuilt t ~name ~spec g =
-  with_lock t (fun () ->
-      let gen = t.next_gen in
-      t.next_gen <- gen + 1;
-      Hashtbl.replace t.tbl name { graph = g; spec; gen };
-      gen)
+let register_prebuilt t ~name ~spec ~gen g =
+  with_lock t (fun () -> bind ~at_least:gen t name ~spec g)
 
-let find_entry t name =
-  let lookup key = Hashtbl.find_opt t.tbl key in
-  let canonical = canonical_spec name in
-  match with_lock t (fun () -> match lookup name with Some e -> Some e | None -> lookup canonical) with
-  | Some e -> Ok (e.graph, e.gen)
+(* Under the lock: the binding [name] resolves to, as (key, entry) —
+   [name] itself, or else its canonical spelling. *)
+let resolve t name =
+  match Hashtbl.find_opt t.tbl name with
+  | Some e -> Some (name, e)
+  | None ->
+      let canonical = canonical_spec name in
+      Option.map (fun e -> (canonical, e)) (Hashtbl.find_opt t.tbl canonical)
+
+let find_binding t name =
+  match with_lock t (fun () -> resolve t name) with
+  | Some (key, e) -> Ok (key, e.graph, e.gen)
   | None -> (
       (* Fall back to reading the name itself as a spec, caching the
          result under its canonical whitespace-normalised form so
          spellings of one spec share one graph (and its colouring cache
          entries). *)
+      let canonical = canonical_spec name in
       match graph_of_spec canonical with
       | Error _ ->
           Error
@@ -220,13 +226,11 @@ let find_entry t name =
             (with_lock t (fun () ->
                  (* Another domain may have registered the name meanwhile;
                     keep its binding so both callers share one generation. *)
-                 match lookup canonical with
-                 | Some e -> (e.graph, e.gen)
-                 | None ->
-                     let gen = t.next_gen in
-                     t.next_gen <- gen + 1;
-                     Hashtbl.replace t.tbl canonical { graph = g; spec = canonical; gen };
-                     (g, gen))))
+                 match Hashtbl.find_opt t.tbl canonical with
+                 | Some e -> (canonical, e.graph, e.gen)
+                 | None -> (canonical, g, bind t canonical ~spec:canonical g))))
+
+let find_entry t name = Result.map (fun (_, g, gen) -> (g, gen)) (find_binding t name)
 
 let find t name = Result.map fst (find_entry t name)
 
@@ -240,6 +244,7 @@ type op =
 type rejected = { r_index : int; r_op : string; r_code : string; r_message : string }
 
 type mutation_outcome = {
+  m_key : string;
   m_graph : Graph.t;
   m_old_gen : int;
   m_gen : int;
@@ -259,23 +264,14 @@ let op_name = function
 (* Apply one MUTATE batch atomically: ops validate sequentially against
    the evolving edge/label state (so ADD (u,v) then DEL (u,v) in one
    batch is two applied ops), invalid ops are skipped and reported with
-   their index, and the binding advances in place to a fresh generation
+   their index, and the binding advances in place to the next generation
    iff at least one op applied — the explicit replacement for the old
    "re-LOAD the name" shadow idiom, which rebuilt from scratch and threw
    every cached colouring away. Everything runs under the registry lock,
    so concurrent MUTATE/LOAD/find interleave at batch granularity. *)
 let mutate t ~name ops =
   with_lock t @@ fun () ->
-  let found =
-    match Hashtbl.find_opt t.tbl name with
-    | Some e -> Some (name, e)
-    | None -> (
-        let canonical = canonical_spec name in
-        match Hashtbl.find_opt t.tbl canonical with
-        | Some e -> Some (canonical, e)
-        | None -> None)
-  in
-  match found with
+  match resolve t name with
   | None ->
       Error (Printf.sprintf "no graph named %S (LOAD it first; MUTATE does not build specs)" name)
   | Some (key, e) ->
@@ -337,6 +333,7 @@ let mutate t ~name ops =
       if !added + !deleted + !relabeled = 0 then
         Ok
           {
+            m_key = key;
             m_graph = g;
             m_old_gen = e.gen;
             m_gen = e.gen;
@@ -359,15 +356,13 @@ let mutate t ~name ops =
           edge_delta;
         let set_labels = Hashtbl.fold (fun v l acc -> (v, l) :: acc) lab_delta [] in
         let g' = Graph.mutate g ~add_edges:!add_edges ~del_edges:!del_edges ~set_labels in
-        let gen = t.next_gen in
-        t.next_gen <- gen + 1;
         (* The stored spec no longer describes the graph; mark it so
            snapshots and operators see an honest provenance string. *)
         let spec =
           if String.length e.spec >= 8 && String.sub e.spec 0 8 = "mutated:" then e.spec
           else "mutated:" ^ e.spec
         in
-        Hashtbl.replace t.tbl key { graph = g'; spec; gen };
+        let gen = bind t key ~spec g' in
         let touched_adj =
           List.sort_uniq compare
             (List.concat_map (fun (u, v) -> [ u; v ]) (!add_edges @ !del_edges))
@@ -375,6 +370,7 @@ let mutate t ~name ops =
         let touched_lab = List.sort_uniq compare (List.map fst set_labels) in
         Ok
           {
+            m_key = key;
             m_graph = g';
             m_old_gen = e.gen;
             m_gen = gen;

@@ -28,7 +28,7 @@ val graph_of_spec :
 
 (** Whitespace-normalised form of a spec: atoms trimmed, joined with a
     bare ['+'] — so ["sbm10 + path3"] and ["sbm10+path3"] canonicalise
-    identically. The spec-fallback path of {!find_entry} caches under
+    identically. The spec-fallback path of {!find_binding} caches under
     this form, giving every spelling of a spec one shared entry (and one
     generation). *)
 val canonical_spec : string -> string
@@ -38,8 +38,13 @@ type t
 
 val create : unit -> t
 
-(** Build [spec] and bind it to [name] (replacing any previous binding
-    under a fresh generation). Returns the graph.
+(** Build [spec] and bind it to [name]. Returns the graph.
+
+    Every name carries its own {e generation}: 0 when the name is first
+    bound, one more on each re-binding or applied {!mutate}. Nothing
+    unbinds a name, so its generations only grow and none is reused; and
+    the number depends on that name's history alone, so every topology
+    and every restart from a snapshot report the same one.
 
     Re-LOADing a bound name still works but is {e deprecated} as an
     update mechanism: it rebuilds from scratch and discards the old
@@ -48,21 +53,29 @@ val create : unit -> t
     usable as an incremental seed. *)
 val register : t -> name:string -> spec:string -> (Graph.t, string) result
 
-(** Bind an already-constructed graph to [name] under a fresh generation
-    (the snapshot-restore path, where the graph came off disk rather
-    than from its spec). Returns the new generation. *)
-val register_prebuilt : t -> name:string -> spec:string -> Graph.t -> int
+(** Bind an already-constructed graph to [name] (the snapshot-restore
+    path, where the graph came off disk rather than from its spec) at
+    generation [gen], or at the generation {!register} would give it
+    when that is later. Returns the generation bound: [gen] itself in a
+    process that has not bound [name] at [gen] or later. *)
+val register_prebuilt : t -> name:string -> spec:string -> gen:int -> Graph.t -> int
 
 (** [find t name] is the registered graph, falling back to interpreting
     [name] itself as a spec (and caching the result under it) — so
     clients can say [QUERY petersen ...] without a LOAD. *)
 val find : t -> string -> (Graph.t, string) result
 
-(** [find_entry t name] is [find] plus the binding's {e generation}: a
-    registry-wide counter bumped on every (re-)registration. Cache keys
-    derived from a graph name must include the generation, so a LOAD that
-    replaces the name can never be answered from entries computed on the
-    old graph. *)
+(** [find_binding t name] is [Ok (key, graph, generation)]: [find] plus
+    the binding the lookup resolved to — its key ([name] itself, or else
+    [name]'s {!canonical_spec}) and its generation (see {!register}; a
+    spec-fallback binding starts at 0 like any new name). Cache keys and
+    model sources derived from a graph name use [key], so every spelling
+    of a spec shares one set of entries, and include the generation, so
+    a LOAD that replaces the binding can never be answered from entries
+    computed on the old graph. *)
+val find_binding : t -> string -> (string * Graph.t * int, string) result
+
+(** [find_binding] without the key. *)
 val find_entry : t -> string -> (Graph.t * int, string) result
 
 (** One mutation op of a MUTATE batch, in registry terms. *)
@@ -82,6 +95,7 @@ type rejected = { r_index : int; r_op : string; r_code : string; r_message : str
     vertices whose adjacency row / label actually changed versus the
     pre-batch graph — the incremental-recolouring frontier. *)
 type mutation_outcome = {
+  m_key : string;  (** the binding [name] resolved to, as in {!find_binding} *)
   m_graph : Graph.t;
   m_old_gen : int;
   m_gen : int;
@@ -97,7 +111,7 @@ type mutation_outcome = {
     lock: ops validate {e sequentially against the evolving state} (an
     edge added earlier in the batch can be deleted later in it), invalid
     ops are skipped and reported, and the binding advances {e in place}
-    to a fresh generation iff at least one op applied. [Error] only when
+    to the next generation iff at least one op applied. [Error] only when
     [name] is not bound (MUTATE never builds specs). *)
 val mutate : t -> name:string -> op list -> (mutation_outcome, string) result
 

@@ -952,12 +952,20 @@ let place t (c : client) line = function
          would race it. *)
       snapshot_fanout t "SAVE" requested
   | Request (P.Restore requested) ->
-      (* Replicas restore the same per-shard file so the whole shard
-         group converges on the restored state. *)
+      (* Replicas restore the file their primary restores, so the whole
+         shard group converges on the restored state. A bare RESTORE
+         names the primary's own snapshot path: a replica's own file is
+         the older state it booted from. *)
       List.iter
         (fun m ->
           if m.m_spec.Shard.sp_role <> Shard.Primary && is_up m then
-            send_upstream t m (snapshot_line "RESTORE" requested m) Discard)
+            let primary = (List.hd t.groups.(m.m_spec.Shard.sp_shard).g_members).m_spec in
+            let line =
+              match (requested, primary.Shard.sp_snapshot) with
+              | None, Some path -> "RESTORE " ^ quote_word path
+              | _ -> snapshot_line "RESTORE" requested m
+            in
+            send_upstream t m line Discard)
         (all_members t);
       snapshot_fanout t "RESTORE" requested
 

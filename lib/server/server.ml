@@ -256,9 +256,9 @@ let count_classes colors =
   Hashtbl.length seen
 
 let wl_result t deadline graph_name rounds =
-  let* g, gen = tag "ERR_UNKNOWN_GRAPH" (Registry.find_entry t.registry graph_name) in
+  let* key, g, gen = tag "ERR_UNKNOWN_GRAPH" (Registry.find_binding t.registry graph_name) in
   let* () = check_deadline deadline "colour refinement" in
-  let result, hit = Cache.cr t.cache ~graph_name ~gen ~deadline g in
+  let result, hit = Cache.cr t.cache ~graph_name:key ~gen ~deadline g in
   let stable_rounds = Cr.rounds result in
   let colors =
     match rounds with
@@ -289,10 +289,10 @@ let kwl_guard t g k =
   else Ok ()
 
 let kwl_result t deadline graph_name k =
-  let* g, gen = tag "ERR_UNKNOWN_GRAPH" (Registry.find_entry t.registry graph_name) in
+  let* key, g, gen = tag "ERR_UNKNOWN_GRAPH" (Registry.find_binding t.registry graph_name) in
   let* () = kwl_guard t g k in
   let* () = check_deadline deadline "k-WL refinement" in
-  let result, hit = Cache.kwl t.cache ~graph_name ~gen ~k ~deadline g in
+  let result, hit = Cache.kwl t.cache ~graph_name:key ~gen ~k ~deadline g in
   let colors = List.hd (Kwl.stable_colors result) in
   Ok
     (P.Obj
@@ -331,10 +331,10 @@ let hom_patterns t g max_size =
   else Ok patterns
 
 let hom_result t deadline graph_name max_size =
-  let* g, gen = tag "ERR_UNKNOWN_GRAPH" (Registry.find_entry t.registry graph_name) in
+  let* key, g, gen = tag "ERR_UNKNOWN_GRAPH" (Registry.find_binding t.registry graph_name) in
   let* patterns = hom_patterns t g max_size in
   let* () = check_deadline deadline "hom-profile computation" in
-  let profile = Cache.hom t.cache ~graph_name ~gen ~size:max_size ~deadline patterns g in
+  let profile = Cache.hom t.cache ~graph_name:key ~gen ~size:max_size ~deadline patterns g in
   Ok
     (P.Obj
        [
@@ -369,13 +369,13 @@ let model_summary_json (m : Models.stored) =
     ]
 
 let featurize_result t deadline graph_name recipe mode =
-  let* g, gen = tag "ERR_UNKNOWN_GRAPH" (Registry.find_entry t.registry graph_name) in
+  let* key, g, gen = tag "ERR_UNKNOWN_GRAPH" (Registry.find_binding t.registry graph_name) in
   let* cols = tag "ERR_BAD_RECIPE" (Featurize.parse_recipe recipe) in
   let* () = check_deadline deadline "featurization" in
   let* b =
     coded
       (Trace.with_span "featurize" (fun () ->
-           Featurize.build ~cache:t.cache ~graph_name ~gen ~deadline
+           Featurize.build ~cache:t.cache ~graph_name:key ~gen ~deadline
              ~max_cells:t.config.max_table_cells mode g cols))
   in
   Ok
@@ -656,7 +656,7 @@ let dispatch t deadline ~sink ~t0 req =
       in
       let* o = tag "ERR_UNKNOWN_GRAPH" (Registry.mutate t.registry ~name:graph ops) in
       if o.Registry.m_gen <> o.Registry.m_old_gen then
-        Cache.note_mutation t.cache ~graph_name:graph ~old_gen:o.Registry.m_old_gen
+        Cache.note_mutation t.cache ~graph_name:o.Registry.m_key ~old_gen:o.Registry.m_old_gen
           ~gen:o.Registry.m_gen ~touched_adj:o.Registry.m_touched_adj
           ~touched_lab:o.Registry.m_touched_lab;
       Ok
@@ -767,29 +767,22 @@ let log t fmt =
 (* --- RETRAIN-on-stale ----------------------------------------------------- *)
 
 (* Periodic idle-loop policy (--retrain-stale SECS): refit any model
-   whose source generations drifted — a MUTATE or re-LOAD bumped them,
-   or a restore rekeyed them to the -1 sentinel — off the request path.
-   The refit goes through the normal Models.train with the persisted
-   spec (same sources, seed, split, lr, epochs), so the refreshed model
-   is exactly what a client-issued re-TRAIN would produce; in the
-   sharded deployment every member runs the same deterministic refit
-   locally, which keeps primary and replicas byte-identical without a
-   mirroring protocol. A model whose source graph no longer exists
-   cannot be refit and is left as-is (it keeps answering stale). *)
+   whose source generations drifted — a MUTATE, a re-LOAD or a RESTORE
+   moved a source's binding past the generation it was fitted on — off
+   the request path. The refit goes through the normal Models.train with
+   the persisted spec (same sources, seed, split, lr, epochs), so the
+   refreshed model is exactly what a client-issued re-TRAIN would
+   produce; in the sharded deployment every member runs the same
+   deterministic refit locally, which keeps primary and replicas
+   byte-identical without a mirroring protocol. Nothing unbinds a graph
+   name, so every source is still bound. *)
 let retrain_stale_pass t =
   List.iter
     (fun (m : Models.stored) ->
-      let states =
-        List.map
-          (fun (name, g0) ->
-            match Registry.find_entry t.registry name with
-            | Ok (_, gen) -> `Live (g0 <> gen)
-            | Error _ -> `Gone)
-          m.Models.sm_sources
+      let drifted (name, g0) =
+        match Registry.find_entry t.registry name with Ok (_, gen) -> g0 <> gen | Error _ -> false
       in
-      let all_live = List.for_all (function `Live _ -> true | `Gone -> false) states in
-      let drifted = List.exists (function `Live d -> d | `Gone -> false) states in
-      if all_live && drifted then begin
+      if List.exists drifted m.Models.sm_sources then begin
         let deadline = Clock.deadline_after t.config.request_timeout_s in
         match
           Models.train ~registry:t.registry ~cache:t.cache ~models:t.models ~deadline

@@ -3,8 +3,8 @@
 
     A snapshot holds the registered graphs (name, spec, generation, and
     the graph itself in CSR form), the stable WL / k-WL colourings of
-    the server's cache (referenced by graph name, so a restore can rekey
-    them under fresh registry generations), the {e sources} of cached
+    the server's cache (referenced by graph name: each is a colouring of
+    the graph's saved generation), the {e sources} of cached
     plans keyed by their canonical {!Glql_gel.Normal_form.cache_key}
     (plans are recompiled on restore — deterministic and microseconds —
     so compiled closures never hit the disk), and the cumulative metrics
@@ -26,7 +26,7 @@ type coloring_data =
 type graph_entry = {
   g_name : string;
   g_spec : string;  (** canonical generator spec, informational *)
-  g_gen : int;  (** registry generation at save time, informational *)
+  g_gen : int;  (** registry generation at save time; a restore binds the graph at it *)
   g_graph : Graph.t;
 }
 
@@ -83,6 +83,10 @@ type t = {
 
 val encode : t -> string
 
+(** Besides the codecs' own checks, rejects a colouring naming a graph
+    the file does not hold. A model source may name one: older files
+    recorded a source under the client's spelling of a spec (see
+    [Glql_server.Persist.restore]). *)
 val decode : string -> (t, string) result
 
 (** Atomic write; returns the byte size of the snapshot file. *)

@@ -26,7 +26,7 @@ type job = {
   chunk : int;
   next : int Atomic.t;
   completed : int Atomic.t;
-  mutable err : exn option;
+  err : exn option Atomic.t;  (* the first exception an item raised *)
   trace_ctx : Trace.context;
       (* The submitting domain's trace context: workers install it while
          running this job's chunks, so spans opened inside pooled kernels
@@ -60,14 +60,11 @@ let size_memo = lazy (requested_size ())
 
 let size () = Lazy.force size_memo
 
-let record_error pool j e =
-  Mutex.lock pool.mutex;
-  (match j.err with None -> j.err <- Some e | Some _ -> ());
-  Mutex.unlock pool.mutex
-
-(* Claim and run chunks until the cursor passes [n]; count what we ran and
-   wake the caller when the job's last item completes.  An exception stops
-   the current chunk but still counts it, so the caller never hangs. *)
+(* Claim and run chunks until the cursor passes [n]; count what we claimed
+   and wake the caller when the job's last item completes.  An exception
+   stops the current chunk, and once the job has failed every chunk
+   claimed after it is counted without running, so the caller neither
+   hangs nor waits on work whose result it will discard. *)
 let process_chunks pool j =
   let finished = ref 0 in
   let continue_ = ref true in
@@ -76,11 +73,12 @@ let process_chunks pool j =
     if lo >= j.n then continue_ := false
     else begin
       let hi = min j.n (lo + j.chunk) in
-      (try
-         for i = lo to hi - 1 do
-           j.f i
-         done
-       with e -> record_error pool j e);
+      (if Option.is_none (Atomic.get j.err) then
+         try
+           for i = lo to hi - 1 do
+             j.f i
+           done
+         with e -> ignore (Atomic.compare_and_set j.err None (Some e)));
       finished := !finished + (hi - lo)
     end
   done;
@@ -173,7 +171,7 @@ let parallel_for ?chunk ~n f =
         chunk;
         next = Atomic.make 0;
         completed = Atomic.make 0;
-        err = None;
+        err = Atomic.make None;
         trace_ctx = Trace.current_context ();
       }
     in
@@ -193,7 +191,7 @@ let parallel_for ?chunk ~n f =
     done;
     pool.job <- None;
     Mutex.unlock pool.mutex;
-    match j.err with Some e -> raise e | None -> ()
+    match Atomic.get j.err with Some e -> raise e | None -> ()
   end
 
 let parallel_map_array f a =

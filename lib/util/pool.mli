@@ -23,7 +23,9 @@ val size : unit -> int
     chunks claimed dynamically by the caller and the resident workers.
     [chunk] overrides the chunk size (default [n / (size * 8)], at least
     1).  The first exception raised by [f] is re-raised in the caller
-    after the region completes. *)
+    after the region completes; once an item has raised, chunks claimed
+    afterwards are skipped, so only the chunks already running finish
+    their items. *)
 val parallel_for : ?chunk:int -> n:int -> (int -> unit) -> unit
 
 (** [parallel_map_array f a] is [Array.map f a] with the applications of

@@ -95,6 +95,24 @@ let test_exception () =
   in
   Alcotest.(check bool) "exceptions propagate to the caller" true raised
 
+(* Every item raises: the first failure stops the job, so the chunks
+   claimed after it run nothing (at most one item per participant runs). *)
+let test_exception_stops_work () =
+  let ran = Atomic.make 0 in
+  let raised =
+    try
+      Pool.parallel_for ~chunk:1 ~n:1000 (fun _ ->
+          Atomic.incr ran;
+          raise Boom);
+      false
+    with Boom -> true
+  in
+  Alcotest.(check bool) "the failure reaches the caller" true raised;
+  Alcotest.(check bool)
+    (Printf.sprintf "a failed job stops running items (%d of 1000 ran)" (Atomic.get ran))
+    true
+    (Atomic.get ran < 10)
+
 let test_nested () =
   let n = 16 in
   let out = Array.make_matrix n n 0 in
@@ -535,7 +553,7 @@ module SP = Glql_server.Protocol
 let featurize_once ~mode ~recipe seed =
   let g = random_graph seed ~n:24 ~p:0.2 in
   let registry = SRegistry.create () in
-  let gen = SRegistry.register_prebuilt registry ~name:"r" ~spec:"random" g in
+  let gen = SRegistry.register_prebuilt registry ~name:"r" ~spec:"random" ~gen:0 g in
   let cache = SCache.create ~plan_capacity:16 ~coloring_capacity:8 () in
   let cols =
     match Featurize.parse_recipe recipe with Ok c -> c | Error e -> failwith e
@@ -745,6 +763,7 @@ let () =
           case "parallel_map_array" test_parallel_map;
           case "parallel_reduce order" test_reduce_order;
           case "exception propagation" test_exception;
+          case "a failed job stops running items" test_exception_stops_work;
           case "nested regions" test_nested;
           case "sequential escape hatch" test_sequential_restores;
         ] );

@@ -802,7 +802,21 @@ let test_registry_canonical_spec () =
   let g0 = gen "cycle3+path4" in
   check_int "one entry for the spec" 1 (Registry.n_graphs r);
   check_int "spaced spelling shares the generation" g0 (gen "cycle3 + path4");
-  check_int "still one entry" 1 (Registry.n_graphs r)
+  check_int "still one entry" 1 (Registry.n_graphs r);
+  (match Registry.find_binding r "cycle3 + path4" with
+  | Ok (key, _, _) -> Alcotest.(check string) "resolves to the canonical binding" "cycle3+path4" key
+  | Error e -> Alcotest.failf "find_entry failed: %s" e);
+  (* Caches key by the binding a lookup resolved to: every spelling of a
+     spec shares its colouring, and binding the spaced spelling itself
+     later gives it entries of its own. *)
+  let t = make_server () in
+  ignore (Server.handle_line t "WL \"cycle3 + path4\"");
+  check_bool "another spelling hits the spec's colouring" true
+    (contains ~needle:"\"coloring_cache\":\"hit\"" (Server.handle_line t "WL cycle3+path4"));
+  ignore (Server.handle_line t "LOAD \"cycle3 + path4\" petersen");
+  let wl = Server.handle_line t "WL \"cycle3 + path4\"" in
+  check_bool "the newly bound spelling is recoloured" true
+    (contains ~needle:"\"n\":10," wl && contains ~needle:"\"coloring_cache\":\"miss\"" wl)
 
 let with_temp_snapshot f =
   let path = Filename.temp_file "glql_server_test" ".glqs" in
@@ -910,8 +924,8 @@ let test_restore_malformed_leaves_state () =
 let test_restore_then_reload_stays_fresh () =
   with_temp_snapshot @@ fun path ->
   (* Colourings restored from a snapshot must still be invalidated by a
-     LOAD that replaces the graph: restore rekeys under fresh
-     generations, and a re-LOAD bumps past them. *)
+     LOAD that replaces the graph: a re-LOAD binds the next generation,
+     past the restored one. *)
   let t = make_server () in
   ignore (Server.handle_line t "LOAD g cycle5");
   ignore (Server.handle_line t "WL g");
@@ -925,6 +939,57 @@ let test_restore_then_reload_stays_fresh () =
   check_bool "reload after restore recomputes" true
     (contains ~needle:"\"coloring_cache\":\"miss\"" after);
   check_bool "reload after restore serves the new graph" true (contains ~needle:"\"n\":4" after)
+
+(* Generations are per name and a snapshot carries them: a restarted
+   server answers the next MUTATE exactly as the first life did, however
+   many other graphs either life bound. *)
+let test_restore_then_mutate_matches_first_life () =
+  with_temp_snapshot @@ fun path ->
+  let t = make_server () in
+  List.iter
+    (fun l -> ignore (Server.handle_line t l))
+    [
+      "LOAD a cycle5"; "LOAD b cycle5"; "LOAD c cycle5"; "LOAD d cycle5"; "MUTATE d ADD_EDGES 0 2";
+    ];
+  ignore (Server.handle_line t (Printf.sprintf "SAVE %s" path));
+  let first_life = Server.handle_line t "MUTATE d ADD_EDGES 1 3" in
+  check_bool "first life counts d's own history" true
+    (contains ~needle:"\"generation\":2" first_life);
+  let t2 = make_server () in
+  ignore (Server.handle_line t2 (Printf.sprintf "RESTORE %s" path));
+  Alcotest.(check string) "MUTATE after restore byte-identical" first_life
+    (Server.handle_line t2 "MUTATE d ADD_EDGES 1 3")
+
+(* RESTORE onto a name this process already bound at the saved
+   generation: the binding moves one past the live one, the file's
+   colouring and its current model follow it, and a model fitted on the
+   replaced live graph goes stale. *)
+let test_restore_onto_live_binding () =
+  with_temp_snapshot @@ fun path ->
+  let train name =
+    Printf.sprintf "TRAIN %s ON x WITH 'deg;hom3' TARGET 'agg_sum{x2}([1] | E(x1,x2))' EPOCHS 3"
+      name
+  in
+  let t = make_server () in
+  ignore (Server.handle_line t "LOAD x cycle5");
+  ignore (Server.handle_line t "WL x");
+  let wl_warm = Server.handle_line t "WL x" in
+  check_bool "file model trained" true (P.is_ok (Server.handle_line t (train "filed")));
+  ignore (Server.handle_line t (Printf.sprintf "SAVE %s" path));
+  let t2 = make_server () in
+  ignore (Server.handle_line t2 "LOAD y path3");
+  ignore (Server.handle_line t2 "LOAD x petersen");
+  check_bool "live-only model trained" true (P.is_ok (Server.handle_line t2 (train "live")));
+  check_bool "RESTORE onto the live binding ok" true
+    (P.is_ok (Server.handle_line t2 (Printf.sprintf "RESTORE %s" path)));
+  Alcotest.(check string) "WL answers the restored graph from the restored colouring" wl_warm
+    (Server.handle_line t2 "WL x");
+  check_bool "the model current at save time is fresh" true
+    (contains ~needle:"\"stale\":false" (Server.handle_line t2 "PREDICT filed x"));
+  check_bool "the live-only model is stale" true
+    (contains ~needle:"\"stale\":true" (Server.handle_line t2 "PREDICT live x"));
+  check_bool "the binding moved one past the live generation" true
+    (contains ~needle:"\"generation\":2" (Server.handle_line t2 "MUTATE x ADD_EDGES 0 2"))
 
 let test_cache_clear_resets_entries () =
   let t = make_server () in
@@ -1614,11 +1679,12 @@ let test_model_snapshot_roundtrip () =
   check_bool "RESTORE ok" true (P.is_ok restore);
   check_bool "RESTORE counts the model" true (contains ~needle:"\"models\":1" restore);
   (* The restored registry answers PREDICT byte-identically: weights,
-     ordering and staleness all survive the generation rekeying. *)
+     ordering, generations and staleness all come back as saved. *)
   Alcotest.(check string) "PREDICT byte-identical after restore" pred1
     (Server.handle_line t2 "PREDICT clf g");
-  (* A model already stale at save time stays stale after restore (its
-     sources map to the never-matching sentinel, not a fresh gen). *)
+  (* A model already stale at save time stays stale after restore: its
+     source keeps the older generation, and the graph binds at the saved
+     one. *)
   ignore (Server.handle_line t "MUTATE g SET_LABEL 0 2.0");
   check_bool "stale before save" true
     (contains ~needle:"\"stale\":true" (Server.handle_line t "PREDICT clf g 0"));
@@ -1627,6 +1693,32 @@ let test_model_snapshot_roundtrip () =
   ignore (Server.handle_line t3 (Printf.sprintf "RESTORE %s" path));
   check_bool "stale survives restore" true
     (contains ~needle:"\"stale\":true" (Server.handle_line t3 "PREDICT clf g 0"))
+
+(* A model trained through a spelling of a spec records the binding the
+   spelling resolved to, so SAVE writes a source the file binds and a
+   fresh server answers as the first life did. *)
+let test_model_spelled_source_roundtrip () =
+  with_temp_snapshot @@ fun path ->
+  let t = make_server () in
+  let train =
+    Server.handle_line t
+      "TRAIN m ON \"cycle3 + path4\" WITH 'deg;hom3' TARGET 'agg_sum{x2}([1] | E(x1,x2))' EPOCHS 3"
+  in
+  check_bool "TRAIN ok" true (P.is_ok train);
+  check_bool "the source is the canonical binding" true
+    (contains ~needle:"\"graph\":\"cycle3+path4\"" train);
+  let pred = Server.handle_line t "PREDICT m \"cycle3 + path4\"" in
+  check_bool "PREDICT through the spelling is fresh and seen" true
+    (contains ~needle:"\"stale\":false,\"unseen\":false" pred);
+  let models = Server.handle_line t "MODELS" in
+  check_bool "SAVE ok" true (P.is_ok (Server.handle_line t (Printf.sprintf "SAVE %s" path)));
+  let t2 = make_server () in
+  check_bool "RESTORE ok" true
+    (P.is_ok (Server.handle_line t2 (Printf.sprintf "RESTORE %s" path)));
+  Alcotest.(check string) "PREDICT byte-identical after restore" pred
+    (Server.handle_line t2 "PREDICT m \"cycle3 + path4\"");
+  Alcotest.(check string) "MODELS byte-identical after restore" models
+    (Server.handle_line t2 "MODELS")
 
 let test_predict_unseen_flag () =
   let t = make_server () in
@@ -1798,6 +1890,10 @@ let suite =
       case "featurize cell budget pre-empts materialization" test_featurize_cell_budget_preempts;
       case "TRAIN honours the request deadline" test_train_honours_deadline;
       case "persistence: model registry round trip" test_model_snapshot_roundtrip;
+      case "persistence: model trained through a spelled spec" test_model_spelled_source_roundtrip;
+      case "persistence: MUTATE after restore matches the first life"
+        test_restore_then_mutate_matches_first_life;
+      case "persistence: restore onto a live binding" test_restore_onto_live_binding;
       case "PREDICT flags unseen graphs" test_predict_unseen_flag;
       case "TRAIN rejects multi-dimensional TARGET" test_target_dim_rejected;
       case "graph-mode histogram folds overflow" test_histogram_overflow_folded;

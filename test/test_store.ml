@@ -279,6 +279,57 @@ let test_snapshot_malformed () =
         (is_error (Snapshot.decode (String.sub encoded 0 len))))
     [ 0; 3; 8; n / 4; n / 2; n - 1 ]
 
+(* A model source may name a graph the file does not bind: files written
+   before sources were recorded by binding key hold the client's spelling
+   of a spec. Such a file decodes, and RESTORE resolves the spelling to
+   the file's binding of the spec, so the model answers as it did when
+   saved. *)
+let test_snapshot_spelled_model_source () =
+  let module Server = Glql_server.Server in
+  let server () = Server.create { Server.default_config with Server.socket_path = None } in
+  let path = Filename.temp_file "glql_store_test" ".glqs" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let t = server () in
+      ignore
+        (Server.handle_line t
+           "TRAIN m ON \"cycle3 + path4\" WITH 'deg' TARGET 'agg_sum{x2}([1] | E(x1,x2))' EPOCHS 2");
+      let pred = Server.handle_line t "PREDICT m \"cycle3 + path4\""
+      and models = Server.handle_line t "MODELS" in
+      ignore (Server.handle_line t ("SAVE " ^ path));
+      let snap =
+        match Snapshot.read_file path with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "read_file failed: %s" e
+      in
+      let spelled =
+        {
+          snap with
+          Snapshot.models =
+            List.map
+              (fun m ->
+                {
+                  m with
+                  Snapshot.m_sources =
+                    List.map (fun (_, gen) -> ("cycle3 + path4", gen)) m.Snapshot.m_sources;
+                })
+              snap.Snapshot.models;
+        }
+      in
+      check_bool "a source naming no graph of the file decodes" true
+        (Result.is_ok (Snapshot.decode (Snapshot.encode spelled)));
+      (match Snapshot.write_file path spelled with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "write_file failed: %s" e);
+      let t2 = server () in
+      let reply = Server.handle_line t2 ("RESTORE " ^ path) in
+      check_bool "RESTORE ok" true (String.length reply > 2 && String.sub reply 0 2 = "OK");
+      Alcotest.(check string) "PREDICT as saved" pred
+        (Server.handle_line t2 "PREDICT m \"cycle3 + path4\"");
+      Alcotest.(check string) "the source resolves to the binding" models
+        (Server.handle_line t2 "MODELS"))
+
 (* Random labelled graphs round-trip bit-identically: structure, labels,
    and the colour-refinement run all survive encode/decode, and the
    re-encoding is byte-equal. *)
@@ -321,5 +372,6 @@ let suite =
       case "snapshot round trip" test_snapshot_roundtrip;
       case "snapshot file round trip" test_snapshot_file_roundtrip;
       case "snapshot malformed inputs" test_snapshot_malformed;
+      case "snapshot model source naming a spelling" test_snapshot_spelled_model_source;
       test_snapshot_qcheck_roundtrip;
     ] )
