@@ -15,6 +15,7 @@
    shared by the process. *)
 
 module Vec = Glql_tensor.Vec
+module Mat = Glql_tensor.Mat
 module Graph = Glql_graph.Graph
 
 type var = int
@@ -314,7 +315,7 @@ type filter =
    aggregates fold their terms in the same order and with the same float
    operations as their [Agg.apply]. Results are bit-identical to
    materialising every subexpression over all n^|vars| assignments. *)
-let eval ?(deadline = None) g e =
+let eval_flat ~deadline g e =
   let n = Graph.n_vertices g in
   let csr = Graph.csr g in
   let offsets = csr.Csr.offsets and adjacency = csr.Csr.adjacency in
@@ -589,12 +590,24 @@ let eval ?(deadline = None) g e =
     { vars = free; dim = od; data = out }
   in
   let t = go e in
+  (power (Array.length t.vars), t)
+
+let eval ?(deadline = None) g e =
+  let rows, t = eval_flat ~deadline g e in
   {
     tvars = Array.to_list t.vars;
-    tn = n;
+    tn = Graph.n_vertices g;
     tdim = t.dim;
-    tdata = Array.init (power (Array.length t.vars)) (fun r -> Array.sub t.data (r * t.dim) t.dim);
+    tdata = Array.init rows (fun r -> Array.sub t.data (r * t.dim) t.dim);
   }
+
+(* The root table as a matrix of its own: a root such as [Const] hands
+   back a payload the expression still holds, so the rows are copied. *)
+let eval_matrix ?(deadline = None) g e =
+  let rows, t = eval_flat ~deadline g e in
+  let m = Mat.zeros rows t.dim in
+  Array.blit t.data 0 (Mat.data m) 0 (rows * t.dim);
+  m
 
 (* Value on a p-tuple of vertices, components in sorted free-variable
    order. *)

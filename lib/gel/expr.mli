@@ -105,6 +105,10 @@ val table_get : table -> int array -> Vec.t
     {!Glql_util.Clock.Deadline_exceeded} once it has passed. *)
 val eval : ?deadline:int64 option -> Graph.t -> t -> table
 
+(** [eval] without boxing the rows: row [r] of the matrix is entry [r] of
+    [(eval g e).tdata], so it has [n^p] rows of [dim e] columns. *)
+val eval_matrix : ?deadline:int64 option -> Graph.t -> t -> Glql_tensor.Mat.t
+
 (** Value on a p-tuple (components in sorted free-variable order). *)
 val eval_tuple : Graph.t -> t -> int array -> Vec.t
 

@@ -29,8 +29,10 @@
    expression. *)
 
 module Vec = Glql_tensor.Vec
+module Mat = Glql_tensor.Mat
 module Graph = Glql_graph.Graph
 module Trace = Glql_util.Trace
+module Clock = Glql_util.Clock
 
 exception Unsupported of string
 
@@ -145,17 +147,25 @@ let separate e =
    ([msg_off], [sdim] wide) and its neighbourhood sum ([res_off]). *)
 type slot = { msg_off : int; res_off : int; sdim : int }
 
+(* A compiled value of one vertex: [w src so dst o] reads the vertex's
+   feature row, which starts at [src.(so)], and writes the value's
+   components to [dst] from index [o] on. *)
+type writer = float array -> int -> float array -> int -> unit
+
 (* Round t of the schedule: the slots of the depth-t aggregations, each
    with its message compiled against the feature row. *)
-type round = { slots : slot array; messages : (Vec.t -> Vec.t) array }
+type round = { slots : slot array; messages : writer array }
 
 (* Immutable once built: pool domains evaluate one cached plan at once, so
    [eval] keeps its rows local to the call. *)
 type t = {
   d0 : int;
+  reads_labels : bool;  (* whether any [Lab] survives separation *)
   feature_dim : int;
+  stride : int;  (* feature_dim, then the scratch regions of [compile] *)
+  out_dim : int;
   schedule : round array;  (* round t at index t-1; the net has 2L layers *)
-  output : Vec.t -> Vec.t;
+  output : writer;
   normal_expr : Expr.t;    (* the expression in normal-form shape *)
   separated : Expr.t;
 }
@@ -179,40 +189,95 @@ let collect_aggs e =
   go e;
   !out
 
-(* Compile a separated single-variable expression into a function of the
+(* [dst.(o ..)] <- [src.(so ..)], [d] floats. A loop: the rows' copies
+   are a few floats each, far below what pays for [Array.blit]'s call. *)
+let copy (src : float array) so (dst : float array) o d =
+  for i = 0 to d - 1 do
+    dst.(o + i) <- src.(so + i)
+  done
+
+(* Compile a separated single-variable expression into a writer over the
    vertex's own feature row. Every [Agg] node is already resolved to its
-   result slot, so evaluation does no lookups. *)
-let compile slots e =
+   result slot, so evaluation does no lookups. An [Apply] reads its
+   arguments in place where they already sit in the row (labels, result
+   slots); any other argument is first written to a scratch region of the
+   row, taken from [scratch] (which returns a fresh offset for a given
+   width). Two kinds write their result with the same float operations
+   as their [Func.apply], allocating nothing: [scale-by], which
+   separation makes of every constant-valued sum ([c] times the degree),
+   and activations (the relu layers of MPNN queries). Every other
+   function gets its arguments as vectors and calls [Func.apply]. *)
+let compile slots dim ~scratch e =
   let memo = Memo.create 64 in
-  let rec go e =
+  let rec go e : writer =
     match Memo.find_opt memo e with
     | Some c -> c
     | None ->
-        let c =
+        let c : writer =
           match e with
-          | Expr.Const v -> fun _ -> v
-          | Expr.Lab (j, _) -> fun (f : Vec.t) -> [| f.(j) |]
-          | Expr.Cmp (Expr.Ceq, a, b) when a = b -> fun _ -> [| 1.0 |]
-          | Expr.Cmp (Expr.Cneq, a, b) when a = b -> fun _ -> [| 0.0 |]
-          | Expr.Apply (fn, args) ->
-              let cs = List.map go args in
-              fun f -> fn.Func.apply (List.map (fun c -> c f) cs)
+          | Expr.Const v ->
+              let d = Vec.dim v in
+              fun _ _ dst o -> copy v 0 dst o d
+          | Expr.Lab (j, _) -> fun src so dst o -> dst.(o) <- src.(so + j)
+          | Expr.Cmp (Expr.Ceq, a, b) when a = b -> fun _ _ dst o -> dst.(o) <- 1.0
+          | Expr.Cmp (Expr.Cneq, a, b) when a = b -> fun _ _ dst o -> dst.(o) <- 0.0
+          | Expr.Apply (fn, args) -> apply fn args (dim e)
           | Expr.Agg _ ->
               let s = Memo.find slots e in
-              fun f -> Array.sub f s.res_off s.sdim
+              fun src so dst o -> copy src (so + s.res_off) dst o s.sdim
           | _ -> assert false
         in
         Memo.add memo e c;
         c
+  (* Where an argument can be read in the row, and the writer (if any)
+     that puts it there first. *)
+  and operand e =
+    match e with
+    | Expr.Lab (j, _) -> (j, None)
+    | Expr.Agg _ -> ((Memo.find slots e).res_off, None)
+    | _ ->
+        let off = scratch (dim e) and w = go e in
+        (off, Some (fun src so -> w src so src (so + off)))
+  and apply fn args d : writer =
+    let ops = List.map operand args in
+    let preps = Array.of_list (List.filter_map snd ops) in
+    let offs_list = List.map fst ops in
+    let offs = Array.of_list offs_list in
+    let body : writer =
+      match (fn.Func.kind, offs) with
+      | Func.K_scale_by, [| a; c |] ->
+          fun src so dst o ->
+            let c = src.(so + c) in
+            for i = 0 to d - 1 do
+              dst.(o + i) <- c *. src.(so + a + i)
+            done
+      | Func.K_activation act, [| a |] ->
+          let f = Func.Activation.apply act in
+          fun src so dst o ->
+            for i = 0 to d - 1 do
+              dst.(o + i) <- f src.(so + a + i)
+            done
+      | _ ->
+          let dims = List.map dim args in
+          fun src so dst o ->
+            let vecs = List.map2 (fun off d -> Array.sub src (so + off) d) offs_list dims in
+            Array.blit (fn.Func.apply vecs) 0 dst o d
+    in
+    if Array.length preps = 0 then body
+    else fun src so dst o ->
+      for k = 0 to Array.length preps - 1 do
+        preps.(k) src so
+      done;
+      body src so dst o
   in
   go e
 
-(* Write round [r]'s messages into [row]. Messages read only label and
-   result slots, never message slots, so writing in place is safe. *)
-let write_messages r (row : Vec.t) =
+(* Write round [r]'s messages into the feature row at [data.(base)].
+   Messages read only label, result and scratch slots, never message
+   slots, so writing in place is safe. *)
+let write_messages r data base =
   for i = 0 to Array.length r.slots - 1 do
-    let s = r.slots.(i) in
-    Array.blit (r.messages.(i) row) 0 row s.msg_off s.sdim
+    r.messages.(i) data base data (base + r.slots.(i).msg_off)
   done
 
 let of_vertex_expr_untraced e =
@@ -221,8 +286,8 @@ let of_vertex_expr_untraced e =
   | _ -> invalid_arg "Normal_form.of_vertex_expr: need exactly one free variable");
   if not (Expr.is_mpnn e) then unsupported "expression is not in the MPNN fragment";
   let sep = separate e in
-  let d0 =
-    (* Label dimension actually used: max lab index + 1. *)
+  let labels_used =
+    (* Label dimension actually read: max lab index + 1. *)
     let memo = Memo.create 64 in
     let m = ref 0 in
     let rec go e =
@@ -238,8 +303,9 @@ let of_vertex_expr_untraced e =
       end
     in
     go sep;
-    max 1 !m
+    !m
   in
+  let d0 = max 1 labels_used in
   (* Every aggregation is a genuine sum aggregation and gets a message and
      a result slot, laid out after the labels. *)
   let slots = Memo.create 16 in
@@ -259,7 +325,12 @@ let of_vertex_expr_untraced e =
       (collect_aggs sep)
   in
   let feature_dim = !next in
-  let compile = compile slots in
+  let scratch d =
+    let off = !next in
+    next := off + d;
+    off
+  in
+  let compile = compile slots dim ~scratch in
   let depth = Expr.agg_depth_memoized () in
   let schedule =
     Array.init (depth sep) (fun i ->
@@ -270,15 +341,23 @@ let of_vertex_expr_untraced e =
         })
   in
   let output = compile sep in
+  let stride = !next in
+  (* The exported layers see rows of [feature_dim] floats; the compiled
+     writers want [stride]. *)
+  let widen f =
+    let row = Array.make stride 0.0 in
+    Array.blit f 0 row 0 feature_dim;
+    row
+  in
   (* The same rounds as Func layers, for the exported expression only. *)
   let message_layer t r =
     Func.custom ~name:(Printf.sprintf "nf-msg-%d" t) ~in_dims:[ feature_dim; feature_dim ]
       ~out_dim:feature_dim (fun args ->
         match args with
         | [ self; _nbsum ] ->
-            let out = Vec.copy self in
-            write_messages r out;
-            out
+            let row = widen self in
+            write_messages r row 0;
+            Array.sub row 0 feature_dim
         | _ -> assert false)
   in
   let collect_layer t r =
@@ -296,9 +375,15 @@ let of_vertex_expr_untraced e =
       (List.mapi (fun i r -> [ message_layer (i + 1) r; collect_layer (i + 1) r ])
          (Array.to_list schedule))
   in
+  let out_dim = dim sep in
   let output_layer =
-    Func.custom ~name:"nf-out" ~in_dims:[ feature_dim ] ~out_dim:(dim sep) (fun args ->
-        match args with [ f ] -> output f | _ -> assert false)
+    Func.custom ~name:"nf-out" ~in_dims:[ feature_dim ] ~out_dim (fun args ->
+        match args with
+        | [ f ] ->
+            let out = Vec.zeros out_dim in
+            output (widen f) 0 out 0;
+            out
+        | _ -> assert false)
   in
   (* Normal-form expression: embed labels, then alternate layers. *)
   let x = Builder.x1 and y = Builder.x2 in
@@ -325,7 +410,17 @@ let of_vertex_expr_untraced e =
             step ~self:prev_y ~other:prev_x ~sv:y ~ov:x )
   in
   let normal_expr = Expr.Apply (output_layer, [ stack layers (init x, init y) ]) in
-  { d0; feature_dim; schedule; output; normal_expr; separated = sep }
+  {
+    d0;
+    reads_labels = labels_used > 0;
+    feature_dim;
+    stride;
+    out_dim;
+    schedule;
+    output;
+    normal_expr;
+    separated = sep;
+  }
 
 let of_vertex_expr e = Trace.with_span "layer" (fun () -> of_vertex_expr_untraced e)
 
@@ -339,42 +434,62 @@ let n_layers nf = 2 * n_rounds nf
 
 let feature_dim nf = nf.feature_dim
 
-(* Layered evaluation over one feature row per vertex, updated in place.
+(* Layered evaluation over all feature rows at once: one row-major
+   [float array], [stride] floats per vertex, updated in place.
    Round t first writes every vertex's depth-t messages, then sums them
    over the CSR rows into the depth-t result slots. Each sum starts from
    0.0 and adds the neighbours in adjacency order: the same additions in
    the same order as a full-width [Vec.add_inplace] neighbour sum, so the
-   result is bit-identical to evaluating [to_expr]. *)
-let eval_untraced nf g =
+   result is bit-identical to evaluating [to_expr]. The deadline is
+   checked once per round and every 4,096 vertices of each pass. *)
+let eval_untraced ~deadline nf g =
   let n = Graph.n_vertices g in
-  let rows =
-    Array.init n (fun v ->
-        let f = Vec.zeros nf.feature_dim in
-        let l = Graph.label g v in
-        Array.blit l 0 f 0 (min (Vec.dim l) nf.d0);
-        f)
-  in
-  let { Graph.Csr.offsets; adjacency; _ } = Graph.csr g in
+  let fd = nf.stride in
+  let data = Array.make (n * fd) 0.0 in
+  let { Graph.Csr.offsets; adjacency; labels; _ } = Graph.csr g in
+  if nf.reads_labels then begin
+    let ld = min (Bigarray.Array2.dim2 labels) nf.d0 in
+    for v = 0 to n - 1 do
+      for i = 0 to ld - 1 do
+        data.((v * fd) + i) <- Bigarray.Array2.get labels v i
+      done
+    done
+  end;
+  let tick v = if v land 4095 = 4095 then Clock.check deadline in
   Array.iter
     (fun r ->
-      Array.iter (write_messages r) rows;
+      Clock.check deadline;
       for v = 0 to n - 1 do
-        (* Result slots are still 0.0 here: only round t writes them. *)
-        let row = rows.(v) in
-        for k = offsets.(v) to offsets.(v + 1) - 1 do
-          let nb = rows.(adjacency.(k)) in
-          for i = 0 to Array.length r.slots - 1 do
-            let { msg_off; res_off; sdim } = r.slots.(i) in
-            for c = 0 to sdim - 1 do
-              row.(res_off + c) <- row.(res_off + c) +. nb.(msg_off + c)
-            done
+        tick v;
+        write_messages r data (v * fd)
+      done;
+      for v = 0 to n - 1 do
+        tick v;
+        let row = v * fd and first = offsets.(v) and last = offsets.(v + 1) - 1 in
+        for i = 0 to Array.length r.slots - 1 do
+          let { msg_off; res_off; sdim } = r.slots.(i) in
+          for c = 0 to sdim - 1 do
+            (* Each component is its own sum, so summing it whole before
+               the next one keeps every component's additions. *)
+            let acc = ref 0.0 in
+            for k = first to last do
+              acc := !acc +. data.((adjacency.(k) * fd) + msg_off + c)
+            done;
+            data.(row + res_off + c) <- !acc
           done
         done
       done)
     nf.schedule;
-  Array.map nf.output rows
+  let od = nf.out_dim in
+  let out = Mat.zeros n od in
+  let values = Mat.data out in
+  for v = 0 to n - 1 do
+    nf.output data (v * fd) values (v * od)
+  done;
+  out
 
-let eval nf g = Trace.with_span "execute.layered" (fun () -> eval_untraced nf g)
+let eval ?(deadline = None) nf g =
+  Trace.with_span "execute.layered" (fun () -> eval_untraced ~deadline nf g)
 
 (* Largest deviation between the original expression and the normal form
    across all vertices of a graph. *)
@@ -382,7 +497,9 @@ let max_deviation nf e g =
   let original = Expr.eval_vertexwise g e in
   let normalised = eval nf g in
   let d = ref 0.0 in
-  Array.iteri (fun v ov -> d := Float.max !d (Vec.linf_dist ov normalised.(v))) original;
+  Array.iteri
+    (fun v ov -> d := Float.max !d (Vec.linf_dist ov (Mat.row normalised v)))
+    original;
   !d
 
 (* --- canonical cache keys ------------------------------------------------ *)

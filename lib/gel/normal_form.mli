@@ -9,6 +9,7 @@
     scope. *)
 
 module Vec = Glql_tensor.Vec
+module Mat = Glql_tensor.Mat
 module Graph = Glql_graph.Graph
 
 exception Unsupported of string
@@ -37,12 +38,16 @@ val separated : t -> Expr.t
 (** Width of the layered feature vector. *)
 val feature_dim : t -> int
 
-(** Layered evaluation, one output vector per vertex. Runs the plan's
-    per-round schedule over one feature row per vertex, updated in place:
-    each round writes its messages, then sums them over the CSR
-    neighbour rows. Bit-identical to [Expr.eval_vertexwise g (to_expr
-    nf)]. Safe to call from several domains on one plan. *)
-val eval : t -> Graph.t -> Vec.t array
+(** Layered evaluation: an [n × d] matrix whose row [v] is the value at
+    vertex [v] ([d] the expression's dimension). Runs the plan's
+    per-round schedule over one row-major feature array, updated in
+    place: each round writes its messages, then sums them over the CSR
+    neighbour rows. Row [v] is bit-identical to row [v] of
+    [Expr.eval_vertexwise g (to_expr nf)]. [deadline] is checked once per
+    round and every 4,096 vertices, and raises
+    [Glql_util.Clock.Deadline_exceeded] once it has passed. Safe to call
+    from several domains on one plan. *)
+val eval : ?deadline:int64 option -> t -> Graph.t -> Mat.t
 
 (** Max |original - normalised| over all vertices of [g]. *)
 val max_deviation : t -> Expr.t -> Graph.t -> float

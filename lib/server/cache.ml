@@ -38,10 +38,23 @@ type seed = {
   seed_touched_lab : int list;
 }
 
+type summary = { classes : int; signature : string }
+
+(* A summary slot, filled by the first request that needs it. Two
+   domains may both compute it; they store the same value. *)
+type memo = summary option Atomic.t
+
+(* A stored colour refinement and the summaries of its colourings, round
+   r at index r. The stable colouring is the last round's, at index
+   [Cr.rounds]. *)
+type cr_entry = { cr : Cr.result; cr_summaries : memo array }
+
+type kwl_entry = { kwl : Kwl.result; kwl_summary : memo }
+
 (* [C_hom (size, profile)]: the hom profile over every free tree with at
    most [size] vertices, the largest size computed so far for the graph.
    Patterns come in size order, so a smaller size is served as a prefix. *)
-type coloring = C_cr of Cr.result | C_kwl of Kwl.result | C_seed of seed | C_hom of int * float array
+type coloring = C_cr of cr_entry | C_kwl of kwl_entry | C_seed of seed | C_hom of int * float array
 
 (* Colouring-cache key: the graph's name and registry generation, and
    which kernel's result it holds. *)
@@ -111,17 +124,45 @@ let plan_cost (p : plan) = 256 + String.length p.key + (16 * String.length p.src
 
 let int_array_cost a = 64 + (8 * Array.length a)
 
-let rec coloring_cost = function
-  | C_cr r ->
-      List.fold_left
-        (fun acc round -> List.fold_left (fun acc a -> acc + int_array_cost a) acc round)
-        256 (Cr.history r)
-  | C_kwl r -> List.fold_left (fun acc a -> acc + int_array_cost a) 256 (Kwl.stable_colors r)
+let cr_cost r =
+  List.fold_left
+    (fun acc round -> List.fold_left (fun acc a -> acc + int_array_cost a) acc round)
+    256 (Cr.history r)
+
+(* A summary slot once filled: the atomic, the option, the record and a
+   32-character hex string. Counted up front, filled or not. *)
+let summary_cost = 128
+
+let coloring_cost = function
+  | C_cr e -> cr_cost e.cr + (summary_cost * Array.length e.cr_summaries)
+  | C_kwl e ->
+      List.fold_left (fun acc a -> acc + int_array_cost a) (256 + summary_cost)
+        (Kwl.stable_colors e.kwl)
   | C_seed s ->
-      coloring_cost (C_cr s.seed_base)
-      + (8 * List.length s.seed_touched_adj)
-      + (8 * List.length s.seed_touched_lab)
+      cr_cost s.seed_base + (8 * List.length s.seed_touched_adj) + (8 * List.length s.seed_touched_lab)
   | C_hom (_, p) -> 256 + (8 * Array.length p)
+
+let cr_entry r = { cr = r; cr_summaries = Array.init (Cr.rounds r + 1) (fun _ -> Atomic.make None) }
+
+let kwl_entry r = { kwl = r; kwl_summary = Atomic.make None }
+
+let count_classes colors =
+  let seen = Hashtbl.create 64 in
+  Array.iter (fun c -> Hashtbl.replace seen c ()) colors;
+  Hashtbl.length seen
+
+let summary (slot : memo) signature colors =
+  match Atomic.get slot with
+  | Some s -> s
+  | None ->
+      let s =
+        {
+          classes = count_classes colors;
+          signature = Digest.to_hex (Digest.string (signature colors));
+        }
+      in
+      Atomic.set slot (Some s);
+      s
 
 (* ~8 bytes a cell plus per-row array overhead; the strings and column
    list are noise next to the rows but counted for honesty. *)
@@ -145,6 +186,11 @@ let compile key src e =
     | _ -> None
   in
   { key; src; expr; layered }
+
+let eval_plan ?(deadline = None) plan g =
+  match plan.layered with
+  | Some nf -> Normal_form.eval ~deadline nf g
+  | None -> Expr.eval_matrix ~deadline g plan.expr
 
 let plan t src =
   match Parser.parse src with
@@ -210,7 +256,7 @@ let put_coloring t key c = Lru.put ~bytes:(coloring_cost c) t.colorings key c
    name bumps the generation, so entries computed on the old graph are
    unreachable (and age out of the LRU) rather than served stale. *)
 
-let cr t ~graph_name ~gen ?(deadline = None) g =
+let cr_lookup t ~graph_name ~gen ~deadline g =
   let key = { graph = graph_name; gen; kind = Cr } in
   let skey = { key with kind = Seed } in
   (* A MUTATE may have left the superseded colouring as a seed: recolour
@@ -218,7 +264,7 @@ let cr t ~graph_name ~gen ?(deadline = None) g =
      recolouring lands, even on a fallback (it cannot help this
      generation any more); a deadline leaves it for the next asker. *)
   coloring_flight t key ~deadline
-    ~find:(fun () -> match Lru.get t.colorings key with Some (C_cr r) -> Some r | _ -> None)
+    ~find:(fun () -> match Lru.get t.colorings key with Some (C_cr e) -> Some e | _ -> None)
     ~compute:(fun () ->
       match with_lock t (fun () -> Lru.peek t.colorings skey) with
       | Some (C_seed s) ->
@@ -235,17 +281,39 @@ let cr t ~graph_name ~gen ?(deadline = None) g =
           if incremental then t.incremental_recolors <- t.incremental_recolors + 1
           else t.incremental_fallbacks <- t.incremental_fallbacks + 1)
         seeded;
-      put_coloring t key (C_cr r);
-      r)
+      let e = cr_entry r in
+      put_coloring t key (C_cr e);
+      e)
 
-let kwl t ~graph_name ~gen ~k ?(deadline = None) g =
+let cr t ~graph_name ~gen ?(deadline = None) g =
+  let e, hit = cr_lookup t ~graph_name ~gen ~deadline g in
+  (e.cr, hit)
+
+let wl t ~graph_name ~gen ?(deadline = None) ~round g =
+  let e, hit = cr_lookup t ~graph_name ~gen ~deadline g in
+  let rounds = Cr.rounds e.cr in
+  let r = match round with None -> rounds | Some r -> max 0 (min r rounds) in
+  let colors = List.hd (Cr.colors_at_round e.cr r) in
+  let slot = e.cr_summaries.(r) in
+  (e.cr, colors, summary slot Cr.graph_signature colors, hit)
+
+let kwl_lookup t ~graph_name ~gen ~k ~deadline g =
   let key = { graph = graph_name; gen; kind = Kwl k } in
   coloring_flight t key ~deadline
-    ~find:(fun () -> match Lru.get t.colorings key with Some (C_kwl r) -> Some r | _ -> None)
+    ~find:(fun () -> match Lru.get t.colorings key with Some (C_kwl e) -> Some e | _ -> None)
     ~compute:(fun () -> Kwl.run_joint ~deadline ~k ~variant:Kwl.Folklore [ g ])
     ~store:(fun r ->
-      put_coloring t key (C_kwl r);
-      r)
+      let e = kwl_entry r in
+      put_coloring t key (C_kwl e);
+      e)
+
+let kwl t ~graph_name ~gen ~k ?(deadline = None) g =
+  let e, hit = kwl_lookup t ~graph_name ~gen ~k ~deadline g in
+  (e.kwl, hit)
+
+let kwl_summary t ~graph_name ~gen ~k ?(deadline = None) g =
+  let e, hit = kwl_lookup t ~graph_name ~gen ~k ~deadline g in
+  (e.kwl, summary e.kwl_summary Kwl.graph_signature (List.hd (Kwl.stable_colors e.kwl)), hit)
 
 let hom t ~graph_name ~gen ~size ?(deadline = None) patterns g =
   let key = { graph = graph_name; gen; kind = Hom } in
@@ -303,10 +371,10 @@ let note_mutation t ~graph_name ~old_gen ~gen ~touched_adj ~touched_lab =
       let old_seed = { old_cr with kind = Seed } in
       let seed =
         match Lru.peek t.colorings old_cr with
-        | Some (C_cr r) ->
+        | Some (C_cr e) ->
             Some
               {
-                seed_base = r;
+                seed_base = e.cr;
                 seed_touched_adj = List.sort_uniq compare touched_adj;
                 seed_touched_lab = List.sort_uniq compare touched_lab;
               }
@@ -341,8 +409,8 @@ let export_colorings t =
       List.filter_map
         (fun ({ graph = graph_name; gen; kind }, c) ->
           match (kind, c) with
-          | Cr, C_cr result -> Some (E_cr { graph_name; gen; result })
-          | Kwl k, C_kwl result -> Some (E_kwl { graph_name; gen; k; result })
+          | Cr, C_cr e -> Some (E_cr { graph_name; gen; result = e.cr })
+          | Kwl k, C_kwl e -> Some (E_kwl { graph_name; gen; k; result = e.kwl })
           | _ -> None)
         (Lru.bindings_mru_first t.colorings))
 
@@ -367,10 +435,10 @@ let seed_coloring t key c =
       if not (Lru.mem t.colorings key) then Lru.put ~bytes:(coloring_cost c) t.colorings key c)
 
 let seed_cr t ~graph_name ~gen result =
-  seed_coloring t { graph = graph_name; gen; kind = Cr } (C_cr result)
+  seed_coloring t { graph = graph_name; gen; kind = Cr } (C_cr (cr_entry result))
 
 let seed_kwl t ~graph_name ~gen ~k result =
-  seed_coloring t { graph = graph_name; gen; kind = Kwl k } (C_kwl result)
+  seed_coloring t { graph = graph_name; gen; kind = Kwl k } (C_kwl (kwl_entry result))
 
 let stats t =
   with_lock t (fun () ->

@@ -38,6 +38,13 @@ type plan = {
       (** layered fast path when the query is single-variable MPNN-sum *)
 }
 
+(** The plan's values on [g], one row per assignment of its free
+    variables (row-major in sorted variable order, so one row per vertex
+    for a single free variable), [Expr.dim] columns: the layered kernel
+    when the plan has one, else the join. The two agree bit for bit.
+    [deadline] reaches inside either evaluator. *)
+val eval_plan : ?deadline:int64 option -> plan -> Graph.t -> Glql_tensor.Mat.t
+
 (** An assembled feature matrix, cached whole so a warm PREDICT (or a
     repeated FEATURIZE / TRAIN on an unchanged graph) skips column
     materialisation entirely. Mirrors what {!Featurize.build} assembles
@@ -86,11 +93,30 @@ val cr :
   t -> graph_name:string -> gen:int -> ?deadline:int64 option -> Graph.t ->
   Cr.result * [ `Hit | `Miss ]
 
+(** What a WL or KWL reply reports of one colouring: its number of
+    classes and the hex MD5 of its multiset signature. *)
+type summary = { classes : int; signature : string }
+
+(** {!cr}, then the colouring after [round] refinement rounds (clamped to
+    [0 .. Cr.rounds]; [None] is the stable colouring) and its summary.
+    The summary is computed once per stored colouring and round and kept
+    in the entry beside it; its bytes are counted there from the start.
+    Entries seeded by a snapshot restore compute theirs on first use. *)
+val wl :
+  t -> graph_name:string -> gen:int -> ?deadline:int64 option -> round:int option -> Graph.t ->
+  Cr.result * int array * summary * [ `Hit | `Miss ]
+
 (** Stable [k]-WL (folklore) of the named graph, cached per
     (name, generation, k). Deadline semantics as in {!cr}. *)
 val kwl :
   t -> graph_name:string -> gen:int -> k:int -> ?deadline:int64 option -> Graph.t ->
   Kwl.result * [ `Hit | `Miss ]
+
+(** {!kwl} and the summary of the stable tuple colouring, kept in the
+    entry as for {!wl}. *)
+val kwl_summary :
+  t -> graph_name:string -> gen:int -> k:int -> ?deadline:int64 option -> Graph.t ->
+  Kwl.result * summary * [ `Hit | `Miss ]
 
 (** The hom profile of the named graph over [patterns], which must be
     [Glql_hom.Tree.all_free_trees_up_to size]. One colouring-cache entry

@@ -13,6 +13,7 @@ module Kwl = Glql_wl.Kwl
 module Tree = Glql_hom.Tree
 module Count = Glql_hom.Count
 module Expr = Glql_gel.Expr
+module Mat = Glql_tensor.Mat
 module Clock = Glql_util.Clock
 
 type column =
@@ -206,14 +207,8 @@ let build_column ~cache ~graph_name ~gen ~deadline ~check_cells mode g col =
             match (mode, Expr.free_vars plan.Cache.expr) with
             | P.Fm_vertex, [ _ ] ->
                 let* () = check_cells (Expr.dim plan.Cache.expr) in
-                (* The layered plan when there is one, as in the
-                   QUERY handler: one propagation pass per round. *)
-                let vals =
-                  match plan.Cache.layered with
-                  | Some nf -> Glql_gel.Normal_form.eval nf g
-                  | None -> Expr.eval_vertexwise ~deadline g plan.Cache.expr
-                in
-                Ok (Expr.dim plan.Cache.expr, vals)
+                let m = Cache.eval_plan ~deadline plan g in
+                Ok (Expr.dim plan.Cache.expr, Array.init (Mat.rows m) (Mat.row m))
             | P.Fm_vertex, vars ->
                 bad "gel: vertex mode needs exactly one free variable, expression has %d"
                   (List.length vars)

@@ -127,14 +127,8 @@ let target_values ~cache ~deadline mode g src =
       in
       match (mode, Glql_gel.Expr.free_vars expr) with
       | P.Fm_vertex, [ _ ] ->
-          (* The layered plan when there is one, as in the QUERY
-             handler: one propagation pass per round. *)
-          let rows =
-            match plan.Cache.layered with
-            | Some nf -> Glql_gel.Normal_form.eval nf g
-            | None -> Glql_gel.Expr.eval_vertexwise ~deadline g expr
-          in
-          Ok (Array.map (fun v -> v.(0)) rows)
+          let m = Cache.eval_plan ~deadline plan g in
+          Ok (Array.init (Mat.rows m) (fun v -> Mat.get m v 0))
       | P.Fm_graph, [] -> Ok [| (Glql_gel.Expr.eval_closed ~deadline g expr).(0) |]
       | _, vars ->
           fail "ERR_QUERY" "TARGET: expected %s, got %d free variables"

@@ -50,6 +50,8 @@ type json = Glql_util.Json.t =
   | Str of string
   | List of json list
   | Obj of (string * json) list
+  | Floats of float array
+  | Float_rows of { rows : int; width : int; data : float array }
 
 val json_to_string : json -> string
 

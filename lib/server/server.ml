@@ -36,7 +36,7 @@
 
 module Graph = Glql_graph.Graph
 module Expr = Glql_gel.Expr
-module Normal_form = Glql_gel.Normal_form
+module Mat = Glql_tensor.Mat
 module Cr = Glql_wl.Color_refinement
 module Kwl = Glql_wl.Kwl
 module Tree = Glql_hom.Tree
@@ -151,8 +151,6 @@ let restore_snapshot t path =
 
 let hit_tag = function `Hit -> P.Str "hit" | `Miss -> P.Str "miss"
 
-let vec_json v = P.List (Array.to_list (Array.map (fun x -> P.Float x) v))
-
 (* Handlers work in [(json, P.error) result]: every failure carries a
    stable ERR_* code. [fail] builds one; [tag] classifies the plain
    string errors of Registry/Cache/Persist at the call site; [coded]
@@ -172,7 +170,50 @@ let ( let* ) r f = Result.bind r f
 
 let max_listed_cells = 4096
 
-let query_result t deadline graph_name src =
+(* The flat [values] of a QUERY: a closed expression's vector, one row
+   per vertex for one free variable, and for more the nonzero entries
+   only, capped. *)
+let values_json n vars m =
+  let width = Mat.cols m and data = Mat.data m in
+  match vars with
+  | [] -> P.Floats data
+  | [ _ ] -> P.Float_rows { rows = Mat.rows m; width; data }
+  | vars ->
+      let arity = List.length vars in
+      let entries = ref [] in
+      let listed = ref 0 in
+      let truncated = ref false in
+      for idx = 0 to Mat.rows m - 1 do
+        let nonzero = ref false in
+        for c = idx * width to ((idx + 1) * width) - 1 do
+          if data.(c) <> 0.0 then nonzero := true
+        done;
+        if !nonzero then begin
+          if !listed >= max_listed_cells then truncated := true
+          else begin
+            incr listed;
+            let tuple = Array.make arity 0 in
+            let rest = ref idx in
+            for pos = arity - 1 downto 0 do
+              tuple.(pos) <- !rest mod n;
+              rest := !rest / n
+            done;
+            entries :=
+              P.Obj
+                [
+                  ("t", P.List (Array.to_list (Array.map (fun i -> P.Int i) tuple)));
+                  ("v", P.Floats (Array.sub data (idx * width) width));
+                ]
+              :: !entries
+          end
+        end
+      done;
+      P.Obj [ ("nonzero", P.List (List.rev !entries)); ("truncated", P.Bool !truncated) ]
+
+(* Run a QUERY up to its values: the reply fields before [values], and
+   the plan's value matrix. EXPLAIN reads the fields and drops the
+   matrix unrendered. *)
+let run_query t deadline graph_name src =
   let* g = tag "ERR_UNKNOWN_GRAPH" (Registry.find t.registry graph_name) in
   let* plan, hit = tag "ERR_QUERY" (Cache.plan t.cache src) in
   let n = Graph.n_vertices g in
@@ -189,82 +230,31 @@ let query_result t deadline graph_name src =
     else Ok ()
   in
   let* () = check_deadline deadline "evaluation" in
-  let plan_kind, values =
-    match plan.Cache.layered with
-    | Some nf ->
-        let rows = Trace.with_span "execute" (fun () -> Normal_form.eval nf g) in
-        ( "layered",
-          Trace.with_span "materialize" (fun () ->
-              P.List (Array.to_list (Array.map vec_json rows))) )
-    | None ->
-        let table = Trace.with_span "execute" (fun () -> Expr.eval ~deadline g plan.Cache.expr) in
-        ( "direct",
-          Trace.with_span "materialize" (fun () ->
-              match table.Expr.tvars with
-              | [] -> vec_json table.Expr.tdata.(0)
-              | [ _ ] -> P.List (Array.to_list (Array.map vec_json table.Expr.tdata))
-              | vars ->
-                  (* Multi-variable tables list nonzero entries only, capped. *)
-                  let width = List.length vars in
-                  let entries = ref [] in
-                  let listed = ref 0 in
-                  let truncated = ref false in
-                  Array.iteri
-                    (fun idx v ->
-                      if Array.exists (fun x -> x <> 0.0) v then begin
-                        if !listed >= max_listed_cells then truncated := true
-                        else begin
-                          incr listed;
-                          let tuple = Array.make width 0 in
-                          let rest = ref idx in
-                          for pos = width - 1 downto 0 do
-                            tuple.(pos) <- !rest mod table.Expr.tn;
-                            rest := !rest / table.Expr.tn
-                          done;
-                          entries :=
-                            P.Obj
-                              [
-                                ("t", P.List (Array.to_list (Array.map (fun i -> P.Int i) tuple)));
-                                ("v", vec_json v);
-                              ]
-                            :: !entries
-                        end
-                      end)
-                    table.Expr.tdata;
-                  P.Obj
-                    [
-                      ("nonzero", P.List (List.rev !entries));
-                      ("truncated", P.Bool !truncated);
-                    ]) )
-  in
+  let m = Trace.with_span "execute" (fun () -> Cache.eval_plan ~deadline plan g) in
   Ok
-    (P.Obj
-       [
-         ("graph", P.Str graph_name);
-         ("n", P.Int n);
-         ("fragment", P.Str (Expr.fragment_name (Expr.fragment plan.Cache.expr)));
-         ("dim", P.Int (Expr.dim plan.Cache.expr));
-         ("free_vars", P.List (List.map (fun v -> P.Int v) fv));
-         ("plan", P.Str plan_kind);
-         ("plan_cache", hit_tag hit);
-         ("values", values);
-       ])
+    ( [
+        ("graph", P.Str graph_name);
+        ("n", P.Int n);
+        ("fragment", P.Str (Expr.fragment_name (Expr.fragment plan.Cache.expr)));
+        ("dim", P.Int (Expr.dim plan.Cache.expr));
+        ("free_vars", P.List (List.map (fun v -> P.Int v) fv));
+        ("plan", P.Str (if plan.Cache.layered = None then "direct" else "layered"));
+        ("plan_cache", hit_tag hit);
+      ],
+      (n, fv, m) )
 
-let count_classes colors =
-  let seen = Hashtbl.create 64 in
-  Array.iter (fun c -> Hashtbl.replace seen c ()) colors;
-  Hashtbl.length seen
+let query_result t deadline graph_name src =
+  let* fields, (n, fv, m) = run_query t deadline graph_name src in
+  let values = Trace.with_span "materialize" (fun () -> values_json n fv m) in
+  Ok (P.Obj (fields @ [ ("values", values) ]))
 
 let wl_result t deadline graph_name rounds =
   let* key, g, gen = tag "ERR_UNKNOWN_GRAPH" (Registry.find_binding t.registry graph_name) in
   let* () = check_deadline deadline "colour refinement" in
-  let result, hit = Cache.cr t.cache ~graph_name:key ~gen ~deadline g in
-  let stable_rounds = Cr.rounds result in
-  let colors =
-    match rounds with
-    | None -> List.hd (Cr.stable_colors result)
-    | Some r -> List.hd (Cr.colors_at_round result r)
+  let result, colors, summary, hit =
+    Cache.wl t.cache ~graph_name:key ~gen ~deadline ~round:rounds g
   in
+  let stable_rounds = Cr.rounds result in
   Ok
     (P.Obj
        [
@@ -272,8 +262,8 @@ let wl_result t deadline graph_name rounds =
          ("n", P.Int (Graph.n_vertices g));
          ("rounds_to_stable", P.Int stable_rounds);
          ("rounds_used", P.Int (match rounds with None -> stable_rounds | Some r -> min (max 0 r) stable_rounds));
-         ("classes", P.Int (count_classes colors));
-         ("signature", P.Str (Digest.to_hex (Digest.string (Cr.graph_signature colors))));
+         ("classes", P.Int summary.Cache.classes);
+         ("signature", P.Str summary.Cache.signature);
          ( "colors",
            if Array.length colors <= max_listed_cells then
              P.List (Array.to_list (Array.map (fun c -> P.Int c) colors))
@@ -292,8 +282,7 @@ let kwl_result t deadline graph_name k =
   let* key, g, gen = tag "ERR_UNKNOWN_GRAPH" (Registry.find_binding t.registry graph_name) in
   let* () = kwl_guard t g k in
   let* () = check_deadline deadline "k-WL refinement" in
-  let result, hit = Cache.kwl t.cache ~graph_name:key ~gen ~k ~deadline g in
-  let colors = List.hd (Kwl.stable_colors result) in
+  let result, summary, hit = Cache.kwl_summary t.cache ~graph_name:key ~gen ~k ~deadline g in
   Ok
     (P.Obj
        [
@@ -301,8 +290,8 @@ let kwl_result t deadline graph_name k =
          ("k", P.Int k);
          ("variant", P.Str "folklore");
          ("rounds", P.Int (Kwl.rounds result));
-         ("tuple_classes", P.Int (count_classes colors));
-         ("signature", P.Str (Digest.to_hex (Digest.string (Kwl.graph_signature colors))));
+         ("tuple_classes", P.Int summary.Cache.classes);
+         ("signature", P.Str summary.Cache.signature);
          ("coloring_cache", hit_tag hit);
        ])
 
@@ -341,7 +330,7 @@ let hom_result t deadline graph_name max_size =
          ("graph", P.Str graph_name);
          ("max_tree_size", P.Int max_size);
          ("patterns", P.Int (List.length patterns));
-         ("profile", vec_json profile);
+         ("profile", P.Floats profile);
        ])
 
 (* --- model serving (v6) --------------------------------------------------- *)
@@ -578,8 +567,7 @@ let stage_summary ~t0 spans =
   ( P.Float (Clock.ns_to_ms total_ns),
     P.List (List.map stage_obj all) )
 
-let explain_json ~t0 spans reply =
-  let fields = match reply with P.Obj fields -> fields | _ -> [] in
+let explain_json ~t0 spans fields =
   let get k = Option.value ~default:P.Null (List.assoc_opt k fields) in
   let total_ms, stages = stage_summary ~t0 spans in
   P.Obj
@@ -633,10 +621,10 @@ let dispatch t deadline ~sink ~t0 req =
            ])
   | P.Query (graph, src) -> query_result t deadline graph src
   | P.Explain (graph, src) ->
-      (* Run the full query pipeline, then report where its time went
-         instead of the values. *)
-      let* reply = query_result t deadline graph src in
-      Ok (explain_json ~t0 (Trace.spans sink) reply)
+      (* Run the query pipeline up to its values, then report where its
+         time went instead of them. *)
+      let* fields, _ = run_query t deadline graph src in
+      Ok (explain_json ~t0 (Trace.spans sink) fields)
   | P.Wl (graph, rounds) -> wl_result t deadline graph rounds
   | P.Kwl (graph, k) -> kwl_result t deadline graph k
   | P.Hom (graph, size) -> hom_result t deadline graph size

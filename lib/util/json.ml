@@ -9,6 +9,8 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Floats of float array
+  | Float_rows of { rows : int; width : int; data : float array }
 
 let escape_to buf s =
   Buffer.add_char buf '"';
@@ -29,19 +31,36 @@ let escape_to buf s =
    interpreter around it. *)
 external format_float : string -> float -> string = "caml_format_float"
 
+(* nan AND ±inf map to null: JSON has no non-finite tokens, and %.17g
+   would print the invalid literal "inf". Integers below 1e15 print as
+   %.0f would ("-0" included), the rest as %.17g. *)
+let rec digits_to buf i =
+  if i >= 10 then digits_to buf (i / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
+
+let float_to buf f =
+  if not (Float.is_finite f) then Buffer.add_string buf "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then begin
+    (* |f| < 1e15: exact as an int, and its digits are string_of_int's. *)
+    if Float.sign_bit f then Buffer.add_char buf '-';
+    digits_to buf (int_of_float (Float.abs f))
+  end
+  else Buffer.add_string buf (format_float "%.17g" f)
+
+(* [data.(off) .. data.(off + len - 1)] as one JSON list of floats. *)
+let floats_to buf data off len =
+  Buffer.add_char buf '[';
+  for i = off to off + len - 1 do
+    if i > off then Buffer.add_char buf ',';
+    float_to buf data.(i)
+  done;
+  Buffer.add_char buf ']'
+
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f ->
-      (* nan AND ±inf map to null: JSON has no non-finite tokens, and
-         %.17g would print the invalid literal "inf". Integers below
-         1e15 print as %.0f would ("-0" included), the rest as %.17g. *)
-      if not (Float.is_finite f) then Buffer.add_string buf "null"
-      else if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf
-          (if f = 0.0 && Float.sign_bit f then "-0" else string_of_int (int_of_float f))
-      else Buffer.add_string buf (format_float "%.17g" f)
+  | Float f -> float_to buf f
   | Str s -> escape_to buf s
   | List items ->
       Buffer.add_char buf '[';
@@ -61,6 +80,14 @@ let rec to_buffer buf = function
           to_buffer buf v)
         fields;
       Buffer.add_char buf '}'
+  | Floats data -> floats_to buf data 0 (Array.length data)
+  | Float_rows { rows; width; data } ->
+      Buffer.add_char buf '[';
+      for r = 0 to rows - 1 do
+        if r > 0 then Buffer.add_char buf ',';
+        floats_to buf data (r * width) width
+      done;
+      Buffer.add_char buf ']'
 
 let to_string j =
   let buf = Buffer.create 128 in

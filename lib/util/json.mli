@@ -5,7 +5,9 @@
 
     Rendering is single-line and deterministic. Non-finite floats (nan,
     ±infinity) print as [null] — JSON has no token for them, and [inf]
-    would corrupt the stream for any standards-compliant reader. *)
+    would corrupt the stream for any standards-compliant reader. [Float],
+    [Floats] and [Float_rows] share one float rule. {!parse} never
+    builds the two flat nodes: their bytes parse back as [List]s. *)
 
 type t =
   | Null
@@ -15,6 +17,13 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Floats of float array
+      (** Renders as [List] of [Float]s would, without boxing a node per
+          element. *)
+  | Float_rows of { rows : int; width : int; data : float array }
+      (** [rows] lists of [width] floats, read row-major from [data]:
+          renders as a [List] of [Floats] would. Tabular results (query
+          values, profiles) stay flat until they are written. *)
 
 (** Append the rendering of one value to [buf]. *)
 val to_buffer : Buffer.t -> t -> unit

@@ -178,8 +178,10 @@ let prop_normal_form_eval_bit_exact =
       let bits v = Array.map Int64.bits_of_float v in
       let layered = Normal_form.eval nf g in
       let reference = Expr.eval_vertexwise g (Normal_form.to_expr nf) in
-      Array.length layered = Array.length reference
-      && Array.for_all2 (fun a b -> bits a = bits b) layered reference)
+      Mat.rows layered = Array.length reference
+      && Array.for_all2 (fun a b -> bits a = bits b)
+           (Array.init (Mat.rows layered) (Mat.row layered))
+           reference)
 
 let prop_random_exprs_invariant =
   qtest ~count:20 "random expressions are invariant" expr_arb (fun (seed, depth) ->

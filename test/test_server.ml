@@ -668,6 +668,29 @@ let test_handle_line_explain () =
   check_bool "cold explain is a plan miss" true (contains ~needle:"\"plan_cache\":\"miss\"" cold);
   check_bool "cold compile not cached" true (contains ~needle:"\"cached\":false" cold)
 
+(* EXPLAIN of a layered query on a 10,000-vertex graph renders no values,
+   yet still lists the materialize stage, and its stages still sum to
+   the total. *)
+let test_explain_layered_grid100 () =
+  let t = make_server () in
+  check_bool "load" true (P.is_ok (Server.handle_line t "LOAD g grid100x100"));
+  let reply =
+    Server.handle_line t "EXPLAIN g 'agg_sum{x2}(agg_sum{x1}([1] | E(x2,x1)) | E(x1,x2))'"
+  in
+  check_bool "explain ok" true (P.is_ok reply);
+  check_bool "layered plan" true (contains ~needle:"\"plan\":\"layered\"" reply);
+  check_bool "lists materialize" true (contains ~needle:"\"stage\":\"materialize\"" reply);
+  check_bool "no values payload" false (contains ~needle:"\"values\"" reply);
+  match (float_after "total_ms" reply, floats_after "ms" reply) with
+  | Some total, stage_ms ->
+      check_int "one ms per stage" 7 (List.length stage_ms);
+      let sum = List.fold_left ( +. ) 0.0 stage_ms in
+      check_bool
+        (Printf.sprintf "stages sum (%g) = total (%g)" sum total)
+        true
+        (Float.abs (sum -. total) < 1e-6)
+  | _ -> Alcotest.fail "missing total_ms or stage ms fields"
+
 let test_handle_line_trace_option () =
   let t = make_server () in
   let reply = Server.handle_line t "QUERY petersen 'agg_sum{x2}([1] | E(x1,x2))' TRACE" in
@@ -1103,6 +1126,36 @@ let test_gel_deadline_inside_eval () =
   Alcotest.(check (option string)) "deadline code" (Some "ERR_DEADLINE") (code_of reply);
   check_bool (Printf.sprintf "answered within 1.5 s (took %.2f s)" elapsed) true (elapsed < 1.5);
   check_bool "server still serving" true (P.is_ok (Server.handle_line t "QUERY c 'agg_sum{x2}([1] | E(x1,x2))'"))
+
+(* The request timeout reaches inside layered evaluation. Forty rounds
+   of 20-wide sums over complete1000's 999,000 arcs are ~8·10^8
+   additions, seconds of work on a 2-vCPU host, for a 1,000-row reply;
+   the deadline checks between rounds and vertices stop it early. *)
+let test_layered_deadline_inside_eval () =
+  let t =
+    Server.create
+      { Server.default_config with Server.socket_path = None; request_timeout_s = 0.1 }
+  in
+  check_bool "load" true (P.is_ok (Server.handle_line t "LOAD k complete1000"));
+  let ones = "[" ^ String.concat ";" (List.init 20 (fun _ -> "1")) ^ "]" in
+  let rec nest d ~free ~bound =
+    if d = 0 then ones
+    else
+      Printf.sprintf "agg_sum{%s}(%s | E(%s,%s))" bound (nest (d - 1) ~free:bound ~bound:free)
+        free bound
+  in
+  let src = nest 40 ~free:"x1" ~bound:"x2" in
+  let t0 = Glql_util.Clock.now_ns () in
+  let reply = Server.handle_line t (Printf.sprintf "QUERY k '%s'" src) in
+  let elapsed = Glql_util.Clock.ns_to_s (Glql_util.Clock.elapsed_ns t0) in
+  Alcotest.(check (option string)) "deadline code" (Some "ERR_DEADLINE") (code_of reply);
+  check_bool "stopped inside evaluation" true (contains ~needle:"during evaluation" reply);
+  check_bool (Printf.sprintf "answered within 1 s (took %.2f s)" elapsed) true (elapsed < 1.0);
+  (match Cache.plan (Server.caches t) src with
+  | Ok (plan, _) -> check_bool "the plan is layered" true (plan.Cache.layered <> None)
+  | Error e -> Alcotest.fail e);
+  check_bool "server still serving" true
+    (P.is_ok (Server.handle_line t "QUERY k 'agg_sum{x2}([1] | E(x1,x2))'"))
 
 (* A max-aggregation MPNN has no layered plan and is evaluated directly;
    its edge guards drive the join over CSR rows, so grid100x100 costs
@@ -1858,12 +1911,14 @@ let suite =
       case "handle_line: layered replies pinned by digest" test_layered_reply_digests;
       case "handle_line: direct replies pinned by digest" test_direct_reply_digests;
       case "handle_line: GEL deadline inside evaluation" test_gel_deadline_inside_eval;
+      case "handle_line: layered deadline inside evaluation" test_layered_deadline_inside_eval;
       case "handle_line: direct max MPNN on grid100x100" test_direct_max_mpnn_grid100;
       case "handle_line: coloring cache" test_handle_line_wl_cache;
       case "handle_line: reload serves fresh coloring" test_reload_serves_fresh_coloring;
       case "handle_line: cell guard overflow" test_cell_guard_overflow;
       case "handle_line: errors and stats" test_handle_line_errors;
       case "handle_line: EXPLAIN stage summary" test_handle_line_explain;
+      case "handle_line: EXPLAIN layered on grid100x100" test_explain_layered_grid100;
       case "handle_line: TRACE option" test_handle_line_trace_option;
       case "protocol version reporting" test_protocol_version_reporting;
       case "metrics ring wrap percentiles" test_metrics_ring_wrap;

@@ -402,6 +402,31 @@ let prop_json_float_matches_printf =
     (QCheck.make ~print:(Printf.sprintf "%h") gen)
     (fun f -> json_float f = printf_float_rule f)
 
+(* The flat writers render exactly what the boxed tree of the same
+   values renders, on tables of 0-50 rows and widths 1-4. *)
+let prop_json_flat_rows_match_tree =
+  let value =
+    QCheck.Gen.(
+      frequency [ (3, map Int64.float_of_bits int64); (1, oneofl json_float_edges) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 0 50 >>= fun rows ->
+      int_range 1 4 >>= fun width ->
+      map (fun data -> (rows, width, Array.of_list data)) (list_repeat (rows * width) value))
+  in
+  let print (rows, width, data) =
+    Printf.sprintf "%dx%d [%s]" rows width
+      (String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") data)))
+  in
+  qtest ~count:2_000 "json flat rows = tree rule" (QCheck.make ~print gen)
+    (fun (rows, width, data) ->
+      let module J = Glql_util.Json in
+      let floats off len = J.List (List.init len (fun i -> J.Float data.(off + i))) in
+      J.to_string (J.Float_rows { rows; width; data })
+      = J.to_string (J.List (List.init rows (fun r -> floats (r * width) width)))
+      && J.to_string (J.Floats data) = J.to_string (floats 0 (Array.length data)))
+
 let suite =
   ( "util",
     [
@@ -441,4 +466,5 @@ let suite =
       prop_json_int_roundtrip;
       case "json float edge cases" test_json_float_edges;
       prop_json_float_matches_printf;
+      prop_json_flat_rows_match_tree;
     ] )
