@@ -128,6 +128,25 @@ let all_vars e =
 (* Number of distinct variables: the k of GEL^k (slide 62). *)
 let width e = List.length (all_vars e)
 
+(* Label components read: the largest lab index plus one. *)
+let labels_read e =
+  let memo = Memo.create 64 in
+  let m = ref 0 in
+  let rec go e =
+    if not (Memo.mem memo e) then begin
+      Memo.add memo e ();
+      match e with
+      | Lab (j, _) -> m := max !m (j + 1)
+      | Const _ | Edge _ | Cmp _ -> ()
+      | Apply (_, args) -> List.iter go args
+      | Agg (_, _, v, g) ->
+          go v;
+          go g
+    end
+  in
+  go e;
+  !m
+
 let dim_memoized () =
   let memo = Memo.create 64 in
   let rec go e =
@@ -353,6 +372,15 @@ let eval_flat ~deadline g e =
     in
     go 0 0
   in
+  (* A label beyond the graph's dimension fails once per [Lab] node,
+     naming the largest label the expression reads, as the layered
+     kernel does. *)
+  let label_dim = Graph.label_dim g in
+  let check_label j =
+    if n > 0 && (j < 0 || j >= label_dim) then
+      type_error "lab%d: graph has label dimension %d" (if j < 0 then j else labels_read e - 1)
+        label_dim
+  in
   let blit_result name want v out off =
     if Vec.dim v <> want then failwith (Printf.sprintf "%s: produced dim %d, declared %d" name (Vec.dim v) want);
     Array.blit v 0 out off want
@@ -392,13 +420,11 @@ let eval_flat ~deadline g e =
     | Const v -> { vars = [||]; dim = Vec.dim v; data = v }
     | Lab (j, x) ->
         check_var x;
+        check_label j;
         let data =
           Array.init n (fun v ->
               tick ();
-              let l = Graph.label g v in
-              if j < 0 || j >= Vec.dim l then
-                type_error "lab%d: graph has label dimension %d" j (Vec.dim l);
-              l.(j))
+              (Graph.label g v).(j))
         in
         { vars = [| x |]; dim = 1; data }
     | Edge (x, y) ->
@@ -608,17 +634,6 @@ let eval_matrix ?(deadline = None) g e =
   let m = Mat.zeros rows t.dim in
   Array.blit t.data 0 (Mat.data m) 0 (rows * t.dim);
   m
-
-(* Value on a p-tuple of vertices, components in sorted free-variable
-   order. *)
-let eval_tuple g e tuple =
-  let t = eval g e in
-  if Array.length tuple <> List.length t.tvars then
-    invalid_arg "Expr.eval_tuple: tuple length does not match free variables";
-  let max_var = List.fold_left max 0 (1 :: t.tvars) in
-  let env = Array.make (max_var + 1) 0 in
-  List.iteri (fun i v -> env.(v) <- tuple.(i)) t.tvars;
-  table_get t env
 
 (* Value of a closed expression (graph embedding, slide 46). *)
 let eval_closed ?deadline g e =

@@ -43,6 +43,9 @@ val all_vars : t -> var list
 (** Number of distinct variables — the k of GEL^k (slide 62). *)
 val width : t -> int
 
+(** Label components read: the largest [lab] index plus one (0 if none). *)
+val labels_read : t -> int
+
 (** Output dimension; raises {!Type_error} on ill-formed expressions. *)
 val dim : t -> int
 
@@ -85,9 +88,7 @@ type table = {
   tdata : Vec.t array;
 }
 
-(** Row-major index of an assignment (array indexed by variable). *)
-val table_index : table -> int array -> int
-
+(** Value at an assignment (array indexed by variable). *)
 val table_get : table -> int array -> Vec.t
 
 (** Evaluate on a graph, materialising the table over its free variables.
@@ -108,9 +109,6 @@ val eval : ?deadline:int64 option -> Graph.t -> t -> table
 (** [eval] without boxing the rows: row [r] of the matrix is entry [r] of
     [(eval g e).tdata], so it has [n^p] rows of [dim e] columns. *)
 val eval_matrix : ?deadline:int64 option -> Graph.t -> t -> Glql_tensor.Mat.t
-
-(** Value on a p-tuple (components in sorted free-variable order). *)
-val eval_tuple : Graph.t -> t -> int array -> Vec.t
 
 (** Value of a closed expression — a graph embedding (slide 46). *)
 val eval_closed : ?deadline:int64 option -> Graph.t -> t -> Vec.t

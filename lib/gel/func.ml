@@ -26,7 +26,6 @@ type kind =
   | K_scale of float
   | K_scale_by          (* (vector, scalar) |-> scalar * vector *)
   | K_mlp of Mlp.t
-  | K_proj of int
   | K_opaque
 
 type t = {
@@ -155,16 +154,6 @@ let scalar name f =
     apply = (function [ x ] -> [| f x.(0) |] | _ -> assert false);
   }
 
-(* Arbitrary binary scalar function. *)
-let scalar2 name f =
-  {
-    name;
-    in_dims = [ 1; 1 ];
-    kind = K_opaque;
-    out_dim = 1;
-    apply = (function [ a; b ] -> [| f a.(0) b.(0) |] | _ -> assert false);
-  }
-
 (* Custom function with explicit signature. Always [K_opaque]: a
    combinator tag must describe its [apply], since the normal-form
    rewriter and the evaluator act on the tag. *)
@@ -193,15 +182,4 @@ let divide_by d =
       (function
       | [ v; s ] -> if s.(0) = 0.0 then Vec.zeros d else Vec.scale (1.0 /. s.(0)) v
       | _ -> assert false);
-  }
-
-(* Projection to one coordinate. *)
-let proj d j =
-  if j < 0 || j >= d then invalid_arg "Func.proj: index out of range";
-  {
-    name = Printf.sprintf "proj%d" j;
-    in_dims = [ d ];
-    kind = K_proj j;
-    out_dim = 1;
-    apply = (function [ x ] -> [| x.(j) |] | _ -> assert false);
   }

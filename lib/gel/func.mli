@@ -19,7 +19,6 @@ type kind =
   | K_scale of float
   | K_scale_by
   | K_mlp of Mlp.t
-  | K_proj of int
   | K_opaque
 
 (** Private, so that only the constructors below set [kind]. *)
@@ -58,9 +57,6 @@ val mlp : ?name:string -> Mlp.t -> t
 (** Lift a scalar function. *)
 val scalar : string -> (float -> float) -> t
 
-(** Lift a binary scalar function. *)
-val scalar2 : string -> (float -> float -> float) -> t
-
 (** A function of kind [K_opaque] with an explicit signature. *)
 val custom : name:string -> in_dims:int list -> out_dim:int -> (Vec.t list -> Vec.t) -> t
 
@@ -69,6 +65,3 @@ val scale_by : int -> t
 
 (** [(v, s) |-> v / s] with [0/0 = 0]. *)
 val divide_by : int -> t
-
-(** Projection to coordinate [j] of a d-dimensional input. *)
-val proj : int -> int -> t

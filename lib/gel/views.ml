@@ -20,9 +20,6 @@ let triangle_pattern () =
 let cycle_pattern k =
   { pname = Printf.sprintf "C%d" k; pgraph = Glql_graph.Generators.cycle k; proot = 0 }
 
-let path_pattern k =
-  { pname = Printf.sprintf "P%d" k; pgraph = Glql_graph.Generators.path k; proot = 0 }
-
 let clique_pattern k =
   { pname = Printf.sprintf "K%d" k; pgraph = Glql_graph.Generators.complete k; proot = 0 }
 

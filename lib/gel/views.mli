@@ -8,7 +8,6 @@ type pattern = { pname : string; pgraph : Graph.t; proot : int }
 
 val triangle_pattern : unit -> pattern
 val cycle_pattern : int -> pattern
-val path_pattern : int -> pattern
 val clique_pattern : int -> pattern
 
 (** Append per-vertex rooted hom counts of each pattern to the labels. *)

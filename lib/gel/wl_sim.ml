@@ -19,7 +19,7 @@ module Mat = Glql_tensor.Mat
 module Activation = Glql_nn.Activation
 module B = Builder
 
-(* A random "hash" in Omega: sigmoid of a random affine map. On any fixed
+(* A random "hash" in Omega: tanh of a random affine map. On any fixed
    finite input set it is injective with probability 1. *)
 let hash_fn rng ~in_dim ~out_dim =
   (* tanh of a random affine map, scaled so the map is not contractive:
@@ -53,12 +53,6 @@ let cr_expr rng ~label_dim ~rounds ~dim =
     end
   in
   go rounds (init x, init y)
-
-(* Graph-level version: sum-readout of a final hash. *)
-let cr_graph_expr rng ~label_dim ~rounds ~dim =
-  let v = cr_expr rng ~label_dim ~rounds ~dim in
-  let final = hash_fn rng ~in_dim:dim ~out_dim:dim in
-  B.readout_sum ~x:B.x1 (Expr.Apply (final, [ v ]))
 
 (* Folklore 2-WL simulation in GEL^3: three variables x1, x2, x3 are
    reused across rounds; the pair colour c_t(a, b) is memoised per
@@ -96,9 +90,3 @@ let fwl2_expr rng ~label_dim ~rounds ~dim =
         e
   in
   c rounds B.x1 B.x2
-
-(* Graph-level 2-FWL simulation: readout over both free variables. *)
-let fwl2_graph_expr rng ~label_dim ~rounds ~dim =
-  let c = fwl2_expr rng ~label_dim ~rounds ~dim in
-  let final = hash_fn rng ~in_dim:dim ~out_dim:dim in
-  B.agg_all (Agg.sum dim) ~ys:[ B.x1; B.x2 ] (Expr.Apply (final, [ c ]))

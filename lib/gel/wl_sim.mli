@@ -2,19 +2,10 @@
     the constructive halves of rho(CR) = rho(MPNN) (slide 52) and
     rho(k-WL) = rho(GEL^{k+1}) (slide 66) for k = 1, 2. *)
 
-(** Random injective-almost-surely "hash" (sigmoid of random affine). *)
-val hash_fn : Glql_util.Rng.t -> in_dim:int -> out_dim:int -> Func.t
-
 (** MPNN-fragment expression simulating [rounds] steps of colour
     refinement; free variable x1, output dimension [dim]. *)
 val cr_expr : Glql_util.Rng.t -> label_dim:int -> rounds:int -> dim:int -> Expr.t
 
-(** Closed graph-level colour-refinement simulation (sum readout). *)
-val cr_graph_expr : Glql_util.Rng.t -> label_dim:int -> rounds:int -> dim:int -> Expr.t
-
 (** GEL^3 expression simulating [rounds] steps of folklore 2-WL on the
     pair (x1, x2). *)
 val fwl2_expr : Glql_util.Rng.t -> label_dim:int -> rounds:int -> dim:int -> Expr.t
-
-(** Closed graph-level 2-FWL simulation. *)
-val fwl2_graph_expr : Glql_util.Rng.t -> label_dim:int -> rounds:int -> dim:int -> Expr.t

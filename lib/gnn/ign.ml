@@ -23,6 +23,7 @@ module Graph = Glql_graph.Graph
 module Rng = Glql_util.Rng
 module Activation = Glql_nn.Activation
 
+(* Number of equivariant basis operations. *)
 let n_basis = 15
 
 (* Apply basis operation [b] (0-based) to one channel. All sums are

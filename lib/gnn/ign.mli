@@ -8,9 +8,6 @@ module Graph = Glql_graph.Graph
 module Vec = Glql_tensor.Vec
 module Mat = Glql_tensor.Mat
 
-(** Number of equivariant basis operations (15). *)
-val n_basis : int
-
 (** Apply one basis operation (0-based index) to a channel matrix; sums
     are normalised by n. *)
 val basis_op : int -> Mat.t -> Mat.t

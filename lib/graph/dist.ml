@@ -1,4 +1,4 @@
-(* Breadth-first distances, eccentricities and ego networks. Nested /
+(* Breadth-first distances, balls and ego networks. Nested /
    subgraph GNNs (slide 71) run message passing inside radius-r ego nets;
    distance encodings are a classic symmetry-breaking feature. *)
 
@@ -19,16 +19,6 @@ let bfs g source =
       (Graph.neighbors g v)
   done;
   dist
-
-let eccentricity g v =
-  Array.fold_left max 0 (bfs g v)
-
-let diameter g =
-  let d = ref 0 in
-  for v = 0 to Graph.n_vertices g - 1 do
-    d := max !d (eccentricity g v)
-  done;
-  !d
 
 (* Vertices within distance [radius] of [center], sorted; always contains
    the centre itself. *)

@@ -4,11 +4,6 @@
 (** BFS distances from a source; unreachable vertices get [-1]. *)
 val bfs : Graph.t -> int -> int array
 
-val eccentricity : Graph.t -> int -> int
-
-(** Maximum eccentricity over the graph (0 for the empty graph). *)
-val diameter : Graph.t -> int
-
 (** Sorted vertices within the given distance of the centre. *)
 val ball : Graph.t -> center:int -> radius:int -> int array
 

@@ -61,13 +61,6 @@ let label g v = g.labels.(v)
 
 let label_dim g = g.label_dim
 
-let max_degree g =
-  let d = ref 0 in
-  for v = 0 to g.n - 1 do
-    d := max !d (degree g v)
-  done;
-  !d
-
 let validate_vertex g v name =
   if v < 0 || v >= g.n then invalid_arg (Printf.sprintf "Graph.%s: vertex %d out of range" name v)
 
@@ -377,15 +370,6 @@ let induced_subgraph g vs =
       (edges g)
   in
   create ~n:(Array.length vs) ~edges ~labels
-
-let complement g =
-  let edges = ref [] in
-  for u = 0 to g.n - 1 do
-    for v = u + 1 to g.n - 1 do
-      if not (has_edge g u v) then edges := (u, v) :: !edges
-    done
-  done;
-  create ~n:g.n ~edges:!edges ~labels:g.labels
 
 let connected_components g =
   let comp = Array.make g.n (-1) in

@@ -45,7 +45,6 @@ val n_edges : t -> int
 val neighbors : t -> int -> int array
 
 val degree : t -> int -> int
-val max_degree : t -> int
 val label : t -> int -> Vec.t
 val label_dim : t -> int
 
@@ -106,8 +105,6 @@ val disjoint_union : t -> t -> t
 (** Subgraph induced by the given (distinct) vertices, renumbered in array
     order. *)
 val induced_subgraph : t -> int array -> t
-
-val complement : t -> t
 
 (** [(k, comp)] where [comp.(v)] is the component id of [v] in [0..k-1]. *)
 val connected_components : t -> int * int array

@@ -45,10 +45,6 @@ let hom_tree ?compatible pattern g =
   let table = hom_tree_rooted ?compatible pattern 0 g in
   Array.fold_left ( +. ) 0.0 table
 
-(* Vector of rooted-tree hom counts: entry v counts homomorphisms sending
-   the pattern's root (vertex [root]) to v. Used by F-MPNN views (E13). *)
-let rooted_hom_vector ?compatible pattern ~root g = hom_tree_rooted ?compatible pattern root g
-
 (* Backtracking hom count for arbitrary small patterns. Pattern vertices
    are processed in a connectivity-aware order so edge constraints apply
    as early as possible. *)
@@ -123,18 +119,6 @@ let subgraph_count pattern g =
 let triangles g =
   let k3 = Glql_graph.Generators.complete 3 in
   hom_bruteforce k3 g /. 6.0
-
-(* Per-vertex triangle membership counts, via neighbourhood intersections. *)
-let triangles_at g =
-  let n = Graph.n_vertices g in
-  Array.init n (fun v ->
-      let nb = Graph.neighbors g v in
-      let c = ref 0 in
-      Array.iter
-        (fun u ->
-          Array.iter (fun w -> if u < w && Graph.has_edge g u w then incr c) nb)
-        nb;
-      float_of_int !c)
 
 (* Rooted hom-count vector for arbitrary patterns: the tree DP when the
    pattern is a tree, otherwise one pinned backtracking count per vertex

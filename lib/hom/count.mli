@@ -14,10 +14,6 @@ val hom_tree_rooted :
 (** hom(T, G) for a tree pattern, by the rooted DP. *)
 val hom_tree : ?compatible:(int -> int -> bool) -> Graph.t -> Graph.t -> float
 
-(** Rooted hom-count vector with a chosen root (F-MPNN view features). *)
-val rooted_hom_vector :
-  ?compatible:(int -> int -> bool) -> Graph.t -> root:int -> Graph.t -> float array
-
 (** Backtracking count for arbitrary patterns; [injective] counts injective
     homomorphisms instead. *)
 val hom_bruteforce :
@@ -34,9 +30,6 @@ val subgraph_count : Graph.t -> Graph.t -> float
 
 (** Number of triangles in [g]. *)
 val triangles : Graph.t -> float
-
-(** Per-vertex triangle membership counts. *)
-val triangles_at : Graph.t -> float array
 
 (** Rooted hom-count vector for arbitrary patterns (tree DP when possible,
     pinned backtracking otherwise). *)

@@ -24,12 +24,6 @@ val train_graph_classifier :
 val train_node_classifier :
   ?epochs:int -> ?lr:float -> Model.t -> Dataset.node_classification -> history
 
-(** Link prediction: vertex-embedding model (no head) plus a pair-scoring
-    MLP on the pointwise product of endpoint embeddings; metric is
-    accuracy at threshold 0. *)
-val train_link_predictor :
-  ?epochs:int -> ?lr:float -> Model.t -> Mlp.t -> Dataset.link_prediction -> history
-
 (** Binary classifier on fixed feature vectors (the "view embedding"
     pattern of slide 72: complex fixed embedding + simple learnable head);
     metric is accuracy at threshold 0. [deadline] is checked once per
@@ -67,9 +61,6 @@ val train_graph_regressor :
   train_indices:int list ->
   test_indices:int list ->
   history
-
-(** Mean squared error of a trained regressor on given indices. *)
-val regression_mse : Model.t -> Dataset.regression -> int list -> float
 
 (** Deterministic train/test index split. *)
 val split : Glql_util.Rng.t -> n:int -> train_fraction:float -> int list * int list

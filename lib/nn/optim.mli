@@ -1,8 +1,7 @@
-(** Gradient-descent optimizers (slide 20). [step] applies and then zeroes
-    the accumulated gradients. *)
+(** The Adam gradient-descent optimizer (slide 20). [step] applies and
+    then zeroes the accumulated gradients. *)
 
 type t
 
-val sgd : lr:float -> t
 val adam : ?beta1:float -> ?beta2:float -> ?eps:float -> lr:float -> unit -> t
 val step : t -> Param.t list -> unit

@@ -17,18 +17,6 @@ let create ~name data =
 
 let zero_grad p = Mat.fill p.grad 0.0
 
-let n_elements p = Mat.rows p.data * Mat.cols p.data
-
-let grad_norm p =
-  let acc = ref 0.0 in
-  for i = 0 to Mat.rows p.grad - 1 do
-    for j = 0 to Mat.cols p.grad - 1 do
-      let g = Mat.get p.grad i j in
-      acc := !acc +. (g *. g)
-    done
-  done;
-  sqrt !acc
-
 (* A shadow of [p]: shares the (read-only during forward/backward) data
    matrix but owns a private zeroed gradient buffer, so concurrent
    backward passes on different domains never race.  The moment buffers

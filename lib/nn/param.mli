@@ -13,8 +13,6 @@ type t = {
 
 val create : name:string -> Mat.t -> t
 val zero_grad : t -> unit
-val n_elements : t -> int
-val grad_norm : t -> float
 
 (** A shadow parameter sharing [data] (read-only during forward/backward)
     but owning a private zeroed [grad], for race-free gradient

@@ -26,5 +26,4 @@ val random_model :
   out_dim:int ->
   model
 
-val vertex_embeddings : model -> Rgraph.t -> Vec.t array
 val graph_embedding : model -> Rgraph.t -> Vec.t

@@ -42,8 +42,10 @@ type plan = {
     variables (row-major in sorted variable order, so one row per vertex
     for a single free variable), [Expr.dim] columns: the layered kernel
     when the plan has one, else the join. The two agree bit for bit.
-    [deadline] reaches inside either evaluator. *)
-val eval_plan : ?deadline:int64 option -> plan -> Graph.t -> Glql_tensor.Mat.t
+    [deadline] reaches inside either evaluator. A [lab] beyond the
+    graph's label dimension is an [Error] carrying the same type-error
+    message from either plan. *)
+val eval_plan : ?deadline:int64 option -> plan -> Graph.t -> (Glql_tensor.Mat.t, string) result
 
 (** An assembled feature matrix, cached whole so a warm PREDICT (or a
     repeated FEATURIZE / TRAIN on an unchanged graph) skips column

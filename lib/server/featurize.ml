@@ -205,16 +205,16 @@ let build_column ~cache ~graph_name ~gen ~deadline ~check_cells mode g col =
         | Ok (plan, hit) -> (
             note hit;
             match (mode, Expr.free_vars plan.Cache.expr) with
-            | P.Fm_vertex, [ _ ] ->
-                let* () = check_cells (Expr.dim plan.Cache.expr) in
-                let m = Cache.eval_plan ~deadline plan g in
-                Ok (Expr.dim plan.Cache.expr, Array.init (Mat.rows m) (Mat.row m))
+            | P.Fm_vertex, [ _ ] | P.Fm_graph, [] -> (
+                (* One row per vertex, or the one row of a closed expression. *)
+                let dim = Expr.dim plan.Cache.expr in
+                let* () = check_cells dim in
+                match Cache.eval_plan ~deadline plan g with
+                | Error e -> bad "gel: %s" e
+                | Ok m -> Ok (dim, Array.init (Mat.rows m) (Mat.row m)))
             | P.Fm_vertex, vars ->
                 bad "gel: vertex mode needs exactly one free variable, expression has %d"
                   (List.length vars)
-            | P.Fm_graph, [] ->
-                let* () = check_cells (Expr.dim plan.Cache.expr) in
-                Ok (Expr.dim plan.Cache.expr, [| Expr.eval_closed ~deadline g plan.Cache.expr |])
             | P.Fm_graph, vars ->
                 bad "gel: graph mode needs a closed expression, got %d free variables"
                   (List.length vars)))

@@ -37,19 +37,9 @@ type column =
   | Col_hom of int
   | Col_gel of string
 
-(** Fixed width of graph-mode WL / k-WL class-size histograms. *)
-val hist_width : int
-
-val column_name : column -> string
-
 (** Parse a recipe string. [Error] messages are suitable for an
     ERR_BAD_RECIPE reply. *)
 val parse_recipe : string -> (column list, string) result
-
-(** Canonical form of a parsed recipe (';'-joined {!column_name}s) — the
-    feature-cache key component, normal under whitespace and blank
-    sections of the source recipe string. *)
-val canonical_recipe : column list -> string
 
 type built = {
   b_mode : P.feat_mode;

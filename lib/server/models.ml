@@ -62,8 +62,6 @@ let list t =
   locked t (fun () -> Hashtbl.fold (fun _ m acc -> m :: acc) t.table [])
   |> List.sort (fun a b -> compare a.sm_name b.sm_name)
 
-let export = list
-
 let import t models =
   locked t (fun () -> List.iter (fun m -> Hashtbl.replace t.table m.sm_name m) models)
 
@@ -126,10 +124,11 @@ let target_values ~cache ~deadline mode g src =
         else Ok ()
       in
       match (mode, Glql_gel.Expr.free_vars expr) with
-      | P.Fm_vertex, [ _ ] ->
-          let m = Cache.eval_plan ~deadline plan g in
-          Ok (Array.init (Mat.rows m) (fun v -> Mat.get m v 0))
-      | P.Fm_graph, [] -> Ok [| (Glql_gel.Expr.eval_closed ~deadline g expr).(0) |]
+      | P.Fm_vertex, [ _ ] | P.Fm_graph, [] -> (
+          (* One value per vertex, or the one value of a closed expression. *)
+          match Cache.eval_plan ~deadline plan g with
+          | Error e -> fail "ERR_QUERY" "TARGET: %s" e
+          | Ok m -> Ok (Array.init (Mat.rows m) (fun v -> Mat.get m v 0)))
       | _, vars ->
           fail "ERR_QUERY" "TARGET: expected %s, got %d free variables"
             (match mode with P.Fm_vertex -> "one free variable" | P.Fm_graph -> "a closed expression")

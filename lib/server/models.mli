@@ -42,21 +42,13 @@ type stored = {
 type t
 
 val create : unit -> t
-val add : t -> stored -> unit
-val find : t -> string -> stored option
 val count : t -> int
 
-(** Sorted by name. *)
+(** Sorted by name; also the snapshot export (see {!Persist}). *)
 val list : t -> stored list
 
-(** Snapshot export / seeding (see {!Persist}). *)
-val export : t -> stored list
-
+(** Snapshot seeding (see {!Persist}). *)
 val import : t -> stored list -> unit
-
-(** Rebuild the MLP head of a stored model (deterministic from sizes and
-    seed, weights overwritten from [sm_params]). *)
-val head_of : stored -> (Glql_nn.Mlp.t, string) result
 
 (** The exact TRAIN spec a stored model was fit from. Every fit
     hyperparameter is persisted, so refitting through {!train} (the

@@ -102,7 +102,7 @@ let save ~registry ~cache ~models ~metrics ~producer path =
   in
   let plans = Cache.export_plans cache in
   let model_entries =
-    match models with None -> [] | Some ms -> List.map model_to_snapshot (Models.export ms)
+    match models with None -> [] | Some ms -> List.map model_to_snapshot (Models.list ms)
   in
   let saved_at = Unix.gettimeofday () in
   let snap =

@@ -11,15 +11,6 @@
     spellings of a spec-as-name co-locate. *)
 val id_of_name : shards:int -> string -> int
 
-(** [base.shardI] — the unix socket of shard [I]'s primary. *)
-val worker_socket : base:string -> shard:int -> string
-
-(** [base.shardIrJ] — the unix socket of replica [J] of shard [I]. *)
-val replica_socket : base:string -> shard:int -> index:int -> string
-
-(** Snapshot path conventionally paired with a worker socket. *)
-val snapshot_of_socket : string -> string
-
 type role = Primary | Replica of int
 
 val role_label : role -> string
@@ -33,11 +24,6 @@ type spec = {
   sp_snapshot : string option;
   sp_argv : string array option;
 }
-
-(** argv for one worker glqld process. [extra] carries forwarded
-    governance flags. *)
-val worker_argv :
-  exe:string -> socket:string -> snapshot:string option -> extra:string list -> string array
 
 (** Primary specs for an [shards]-way topology rooted at [base_socket]. *)
 val plan : exe:string -> base_socket:string -> extra:string list -> shards:int -> spec list

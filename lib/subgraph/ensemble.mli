@@ -4,9 +4,6 @@
 
 module Graph = Glql_graph.Graph
 
-(** Canonical per-graph signatures, comparable across the input list. *)
-val cr_signatures : Policy.t -> Graph.t list -> string list
-
 (** Does the CR-based ensemble consider the two graphs equivalent? *)
 val equivalent : Policy.t -> Graph.t -> Graph.t -> bool
 

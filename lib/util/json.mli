@@ -25,13 +25,7 @@ type t =
           renders as a [List] of [Floats] would. Tabular results (query
           values, profiles) stay flat until they are written. *)
 
-(** Append the rendering of one value to [buf]. *)
-val to_buffer : Buffer.t -> t -> unit
-
 val to_string : t -> string
-
-(** Append a quoted, escaped JSON string literal to [buf]. *)
-val escape_to : Buffer.t -> string -> unit
 
 (** Parse one JSON document (the whole string; trailing garbage is an
     error). Objects keep their fields in document order, so

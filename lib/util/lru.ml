@@ -150,14 +150,6 @@ let remove t k =
       Hashtbl.remove t.tbl n.nkey;
       t.bytes <- t.bytes - n.nbytes
 
-let find_or_add t k ~compute =
-  match get t k with
-  | Some v -> v
-  | None ->
-      let v = compute () in
-      put t k v;
-      v
-
 let hits t = t.hits
 
 let misses t = t.misses

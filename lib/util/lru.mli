@@ -56,11 +56,7 @@ val put_cold : ?bytes:int -> ('k, 'v) t -> 'k -> 'v -> unit
     eviction — deliberate retirement, not pressure. *)
 val remove : ('k, 'v) t -> 'k -> unit
 
-(** [find_or_add t k ~compute] is [get] with [compute ()] inserted (and
-    returned) on a miss. *)
-val find_or_add : ('k, 'v) t -> 'k -> compute:(unit -> 'v) -> 'v
-
-(** Successful [get]s (and [find_or_add] hits) since creation. *)
+(** Successful [get]s since creation. *)
 val hits : ('k, 'v) t -> int
 
 (** Failed lookups since creation. *)

@@ -17,6 +17,14 @@ let check_int name expected actual = Alcotest.(check int) name expected actual
 let check_float name ?(eps = 1e-9) expected actual =
   Alcotest.(check (float eps)) name expected actual
 
+(* Value of a GEL expression on one tuple of vertices, components in
+   sorted free-variable order. *)
+let eval_at g e tuple =
+  let t = Glql_gel.Expr.eval g e in
+  let env = Array.make (List.fold_left max 1 t.Glql_gel.Expr.tvars + 1) 0 in
+  List.iteri (fun i v -> env.(v) <- tuple.(i)) t.Glql_gel.Expr.tvars;
+  Glql_gel.Expr.table_get t env
+
 (* Random unlabelled graph described by (seed, n, edge density in %). *)
 let graph_arbitrary ?(min_n = 1) ?(max_n = 10) () =
   let gen =

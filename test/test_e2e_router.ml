@@ -416,15 +416,13 @@ let () =
   check "single daemon counts its stale refits"
     (match json_int_field stats_single "retrains_stale" with Some n -> n >= 1 | None -> false);
   (* Cross-shard PREDICT: the model lives on the survivor's shard, but
-     graph "a" hashes elsewhere — a worker can only featurize graphs it
-     owns, so the router must reject this locally (before member
-     selection; shard a's primary is in fact dead) with a structured
-     error naming the co-hash constraint, not time out or mis-route. *)
+     graph "a" hashes elsewhere. The router keeps no table of where
+     models live: PREDICT routes by its graph like any other read, so
+     the reply is whatever a's shard answers. Its primary is dead, so
+     that is the same scoped ERR_SHARD_DOWN line WL a got above. *)
   let code_x, pr_cross = run router_sock [ "--predict"; "m"; "a" ] in
-  check "cross-shard PREDICT rejected with the co-hash constraint"
-    (code_x = Some 1
-    && contains ~needle:"ERR_BAD_ARG" pr_cross
-    && contains ~needle:"co-hashed" pr_cross);
+  check "cross-shard PREDICT gets the reply of its graph's shard"
+    (code_x = Some 1 && contains ~needle:"ERR_SHARD_DOWN" pr_cross && pr_cross = dead_reply);
 
   (* Collect the surviving pids, then SIGTERM the router: clean exit,
      front socket unlinked, every child worker reaped. By now several

@@ -26,7 +26,6 @@ let test_degrees () =
   let g = Generators.star 4 in
   check_int "centre degree" 4 (Graph.degree g 0);
   check_int "leaf degree" 1 (Graph.degree g 1);
-  check_int "max degree" 4 (Graph.max_degree g);
   Alcotest.(check (list (pair int int))) "histogram" [ (1, 4); (4, 1) ] (Graph.degree_histogram g)
 
 let test_edges_sorted () =
@@ -61,11 +60,6 @@ let prop_permute_isomorphic =
       let perm = permutation_of input in
       let h = Graph.permute g perm in
       Iso.is_isomorphism g h perm && Iso.are_isomorphic g h)
-
-let prop_complement_involution =
-  qtest "complement involution" (graph_arbitrary ()) (fun input ->
-      let g = graph_of input in
-      Graph.equal_structure g (Graph.complement (Graph.complement g)))
 
 let test_disjoint_union () =
   let g = Graph.disjoint_union (Generators.cycle 3) (Generators.path 2) in
@@ -158,7 +152,6 @@ let test_molecule () =
 let test_cfi_size () =
   let k3 = Generators.complete 3 in
   let c = Cfi.build k3 in
-  check_int "predicted size" (Cfi.n_vertices_for_base k3) (Graph.n_vertices (Cfi.graph c));
   (* K3: 3 gadgets of degree 2 -> 2 middles + 4 ports each = 18. *)
   check_int "CFI(K3) size" 18 (Graph.n_vertices (Cfi.graph c))
 
@@ -272,7 +265,6 @@ let suite =
       prop_has_edge_symmetric;
       prop_handshake;
       prop_permute_isomorphic;
-      prop_complement_involution;
       case "disjoint union" test_disjoint_union;
       case "induced subgraph" test_induced_subgraph;
       case "connectivity" test_connectivity;

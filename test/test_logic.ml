@@ -126,7 +126,7 @@ let test_fo_equality_and_labels () =
 
 let test_fo_forall () =
   (* "All vertices adjacent to x0" — true only for a dominating vertex. *)
-  let phi = Fo.forall 1 (Fo.Or (Fo.Eq (0, 1), Fo.Edge (0, 1))) in
+  let phi = Fo.Not (Fo.ExistsGeq (1, 1, Fo.Not (Fo.Or (Fo.Eq (0, 1), Fo.Edge (0, 1))))) in
   let g = unlabel (Generators.star 3) in
   Alcotest.(check (array bool)) "dominating" [| true; false; false; false |]
     (Fo.eval_unary phi g ~x:0)

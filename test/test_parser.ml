@@ -20,10 +20,10 @@ let test_parse_degree () =
 
 let test_parse_atoms () =
   let g = Graph.with_one_hot_labels (Generators.path 2) [| 0; 1 |] ~n_colors:2 in
-  check_float "lab" 1.0 (Expr.eval_tuple g (Parser.parse "lab1(x1)") [| 1 |]).(0);
-  check_float "edge" 1.0 (Expr.eval_tuple g (Parser.parse "E(x1,x2)") [| 0; 1 |]).(0);
-  check_float "eq" 1.0 (Expr.eval_tuple g (Parser.parse "1[x1=x2]") [| 1; 1 |]).(0);
-  check_float "neq" 1.0 (Expr.eval_tuple g (Parser.parse "1[x1!=x2]") [| 0; 1 |]).(0)
+  check_float "lab" 1.0 (eval_at g (Parser.parse "lab1(x1)") [| 1 |]).(0);
+  check_float "edge" 1.0 (eval_at g (Parser.parse "E(x1,x2)") [| 0; 1 |]).(0);
+  check_float "eq" 1.0 (eval_at g (Parser.parse "1[x1=x2]") [| 1; 1 |]).(0);
+  check_float "neq" 1.0 (eval_at g (Parser.parse "1[x1!=x2]") [| 0; 1 |]).(0)
 
 let test_parse_constants () =
   (match Parser.parse "[1; -2.5; 3]" with

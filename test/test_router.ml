@@ -28,11 +28,16 @@ let test_placement_canonical () =
     [ 1; 2; 3; 5; 8 ]
 
 let test_paths () =
-  Alcotest.(check string) "worker socket" "/tmp/r.sock.shard2" (Shard.worker_socket ~base:"/tmp/r.sock" ~shard:2);
-  Alcotest.(check string) "replica socket" "/tmp/r.sock.shard2r1"
-    (Shard.replica_socket ~base:"/tmp/r.sock" ~shard:2 ~index:1);
-  Alcotest.(check string) "snapshot" "/tmp/r.sock.shard2r1.glqs"
-    (Shard.snapshot_of_socket "/tmp/r.sock.shard2r1")
+  let base_socket = "/tmp/r.sock" in
+  let primary = List.nth (Shard.plan ~exe:"glqld" ~base_socket ~extra:[ "--timeout"; "5" ] ~shards:3) 2 in
+  Alcotest.(check string) "worker socket" "/tmp/r.sock.shard2" primary.Shard.sp_socket;
+  Alcotest.(check (option (array string)))
+    "worker argv"
+    (Some [| "glqld"; "--socket"; "/tmp/r.sock.shard2"; "--snapshot"; "/tmp/r.sock.shard2.glqs"; "--timeout"; "5" |])
+    primary.Shard.sp_argv;
+  let replica = Shard.replica_spec ~exe:"glqld" ~base_socket ~extra:[] ~shard:2 ~index:1 in
+  Alcotest.(check string) "replica socket" "/tmp/r.sock.shard2r1" replica.Shard.sp_socket;
+  Alcotest.(check (option string)) "snapshot" (Some "/tmp/r.sock.shard2r1.glqs") replica.Shard.sp_snapshot
 
 (* A synthetic per-worker STATS payload shaped like Metrics.to_json. *)
 let worker_stats ~requests ~errors ~graphs ~wl ~load =
