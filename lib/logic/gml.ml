@@ -69,8 +69,6 @@ let eval phi g =
   in
   go phi
 
-let holds phi g v = (eval phi g).(v)
-
 (* Random formula of the given modal depth over [n_props] propositions.
    Counting thresholds are drawn from [1, max_count]. *)
 let random rng ~n_props ~target_depth ~max_count =

@@ -24,8 +24,6 @@ val to_string : t -> string
 (** Truth value at every vertex. *)
 val eval : t -> Graph.t -> bool array
 
-val holds : t -> Graph.t -> int -> bool
-
 (** Random formula with exactly the given modal depth. *)
 val random :
   Glql_util.Rng.t -> n_props:int -> target_depth:int -> max_count:int -> t

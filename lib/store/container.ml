@@ -54,17 +54,6 @@ let of_string s =
       R.expect_end r;
       sections)
 
-let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | contents -> of_string contents
-  | exception Sys_error msg -> Error msg
-  | exception End_of_file -> Error (path ^ ": unreadable (concurrent truncation?)")
-
 (* Write via a temp file in the destination directory plus an atomic
    rename, so a crash mid-save can never leave a half-written snapshot
    where a later boot would try to restore it. *)
