@@ -49,10 +49,3 @@ and compile_untraced phi =
 let eval_compiled phi g =
   let e = compile phi in
   Array.map (fun v -> v.(0) >= 0.5) (Expr.eval_vertexwise g e)
-
-(* Does the compiled expression agree with the logic evaluator everywhere
-   on [g]? *)
-let agrees phi g =
-  let direct = Gml.eval phi g in
-  let compiled = eval_compiled phi g in
-  direct = compiled

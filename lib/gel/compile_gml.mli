@@ -10,6 +10,3 @@ val compile : Gml.t -> Expr.t
 
 (** Per-vertex truth table of the compiled expression ([>= 0.5] = true). *)
 val eval_compiled : Gml.t -> Graph.t -> bool array
-
-(** Exact agreement of compiler and logic evaluator on a graph. *)
-val agrees : Gml.t -> Graph.t -> bool

@@ -56,14 +56,3 @@ let binary_cross_entropy ~logits ~targets =
   done;
   (!loss *. inv_n, grad)
 
-(* Classification accuracy of logits against integer labels. *)
-let accuracy ~logits ~labels =
-  let rows = Mat.rows logits in
-  if rows = 0 then 0.0
-  else begin
-    let correct = ref 0 in
-    for i = 0 to rows - 1 do
-      if Vec.argmax (Mat.row logits i) = labels.(i) then incr correct
-    done;
-    float_of_int !correct /. float_of_int rows
-  end

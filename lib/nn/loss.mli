@@ -11,6 +11,3 @@ val softmax_cross_entropy : logits:Mat.t -> labels:int array -> float * Mat.t
 
 (** Binary cross entropy on a single logit column; targets in {0,1}. *)
 val binary_cross_entropy : logits:Mat.t -> targets:float array -> float * Mat.t
-
-(** Argmax accuracy. *)
-val accuracy : logits:Mat.t -> labels:int array -> float

@@ -68,9 +68,6 @@ let error ~code message = { code; message }
 
 let err_line e = "ERR " ^ json_to_string (Obj [ ("code", Str e.code); ("message", Str e.message) ])
 
-(* Legacy helper: an ERR line with no more specific classification. *)
-let err msg = err_line (error ~code:"ERR_INTERNAL" msg)
-
 (* Exactly "OK" or "OK <json>" — a reply like "OKRA" is not a success,
    and clients exit nonzero on anything else. *)
 let is_ok line =

@@ -84,10 +84,6 @@ val error : code:string -> string -> error
 (** [ERR {"code":...,"message":...}] reply line (no trailing newline). *)
 val err_line : error -> string
 
-(** [err msg] is [err_line] with code [ERR_INTERNAL] — the pre-v4 entry
-    point, kept for callers with no finer classification. *)
-val err : string -> string
-
 (** Is this reply line an [OK]? *)
 val is_ok : string -> bool
 

@@ -154,7 +154,7 @@ let r_coloring ~graph_of_name r =
         let k = R.u8 r in
         let rounds = R.u32 r in
         let stable = R.int_array r in
-        Kwl_data (k, Kwl.of_parts ~k ~variant:Kwl.Folklore ~graphs:[ g ] ~stable:[ stable ] ~rounds)
+        Kwl_data (k, Kwl.of_parts ~k ~graphs:[ g ] ~stable:[ stable ] ~rounds)
     | kind -> Bin_io.corrupt "unknown colouring kind %d" kind
   in
   { c_name = name; c_data = data }

@@ -15,11 +15,6 @@ type t =
   | Delete          (* reconstruction: delete the chosen vertex *)
   | Ego of int      (* nested: radius-r ego network with a marked centre *)
 
-let name = function
-  | Mark -> "id-aware (mark)"
-  | Delete -> "reconstruction (delete)"
-  | Ego r -> Printf.sprintf "nested (ego radius %d)" r
-
 (* Append a marking column that is 1 exactly at [center]. *)
 let mark_vertex g center =
   let n = Graph.n_vertices g in

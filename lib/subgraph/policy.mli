@@ -8,8 +8,6 @@ type t =
   | Delete      (** Reconstruction GNNs: delete the chosen vertex. *)
   | Ego of int  (** Nested GNNs: radius-r ego net with marked centre. *)
 
-val name : t -> string
-
 (** Transform for the choice of vertex [v]. *)
 val apply : t -> Graph.t -> int -> Graph.t
 

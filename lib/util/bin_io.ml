@@ -13,8 +13,6 @@ module Writer = struct
 
   let create () = Buffer.create 4096
 
-  let length = Buffer.length
-
   let u8 b v =
     if v < 0 || v > 0xFF then invalid_arg "Bin_io.Writer.u8: out of range";
     Buffer.add_char b (Char.chr v)
@@ -48,8 +46,6 @@ module Reader = struct
   type t = { src : string; mutable pos : int }
 
   let of_string src = { src; pos = 0 }
-
-  let pos r = r.pos
 
   let remaining r = String.length r.src - r.pos
 

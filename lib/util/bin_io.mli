@@ -21,9 +21,6 @@ module Writer : sig
 
   val create : unit -> t
 
-  (** Bytes appended so far. *)
-  val length : t -> int
-
   (** Unsigned byte; raises [Invalid_argument] outside [0 .. 255]. *)
   val u8 : t -> int -> unit
 
@@ -56,9 +53,6 @@ module Reader : sig
   type t
 
   val of_string : string -> t
-
-  (** Current cursor position (bytes consumed). *)
-  val pos : t -> int
 
   (** Bytes left between the cursor and the end of input. *)
   val remaining : t -> int

@@ -26,5 +26,3 @@ let update t s ~pos ~len =
   !c
 
 let finish t = t lxor 0xFFFFFFFF
-
-let of_string s = finish (update init s ~pos:0 ~len:(String.length s))

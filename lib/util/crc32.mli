@@ -1,8 +1,8 @@
 (** CRC-32 (IEEE 802.3, polynomial [0xEDB88320]), the checksum guarding
     every section of the binary snapshot container. Table-driven,
     allocation-free per byte, and incremental: feed chunks through
-    {!update} or hash a whole string with {!of_string}. Results match
-    zlib's [crc32] (e.g. [of_string "123456789" = 0xCBF43926]). *)
+    {!update} and read the checksum with {!finish}. Results match
+    zlib's [crc32] (["123456789"] checks to [0xCBF43926]). *)
 
 (** Running state of an incremental checksum. *)
 type t
@@ -16,6 +16,3 @@ val update : t -> string -> pos:int -> len:int -> t
 
 (** Finalise to the 32-bit checksum value (in [0 .. 0xFFFFFFFF]). *)
 val finish : t -> int
-
-(** One-shot checksum of a whole string. *)
-val of_string : string -> int

@@ -18,7 +18,6 @@ let test_rgraph_basics () =
   let g = typed_c4 [ 0; 1; 0; 1 ] in
   check_int "vertices" 4 (Rgraph.n_vertices g);
   check_int "relations" 2 (Rgraph.n_relations g);
-  check_int "edges" 4 (Rgraph.n_edges g);
   Alcotest.(check (array int)) "relation-0 neighbours of 0" [| 1 |]
     (Rgraph.neighbors g ~relation:0 0);
   Alcotest.(check (array int)) "relation-1 neighbours of 0" [| 3 |]
